@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ShapvalError
 from .games import Game, ValueVector
-from .parallel import chunk_ranges, ordered_chunk_map, resolve_threads
-from .permutation import _marginal_chunk
+from .parallel import chunk_ranges, ordered_chunk_map, ordered_sum, resolve_threads
+from .permutation import ORDERING_CHUNK, marginal_chunk
 from .rng import stream
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "estimate_compressive",
     "sigma_k",
 ]
-
-_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -97,8 +95,8 @@ def compressive_sample(
     at = a.entries.T
     bound = game.range_r / math.sqrt(a.m_rows) + 1e-9 * max(1.0, game.range_r)
 
-    def chunk_sum(_i: int, lo: int, hi: int) -> np.ndarray:
-        phi = _marginal_chunk(game, seed, "compressive", lo, hi)
+    def chunk_sum(i: int, lo: int, hi: int) -> np.ndarray:
+        phi = marginal_chunk(game, seed, "compressive", i, hi - lo)
         y = phi @ at
         if game.monotone and float(np.abs(y).max()) > bound:
             raise ShapvalError(
@@ -106,12 +104,11 @@ def compressive_sample(
             )
         return y.sum(axis=0)
 
-    parts = ordered_chunk_map(chunk_sum, chunk_ranges(t_permutations, _CHUNK), resolve_threads(threads))
-    y_sum = np.zeros(a.m_rows, dtype=np.float64)
-    for p in parts:
-        y_sum += p
+    parts = ordered_chunk_map(
+        chunk_sum, chunk_ranges(t_permutations, ORDERING_CHUNK), resolve_threads(threads)
+    )
     return CompressiveState(
-        y_bar=y_sum / t_permutations,
+        y_bar=ordered_sum(parts) / t_permutations,
         s_bar=game.u_total / game.n_players,
         t_permutations=t_permutations,
     )

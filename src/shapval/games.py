@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import SizeGuardError, UtilityRangeError
+from .errors import ShapvalError, SizeGuardError, UtilityRangeError
 from .rng import stream
 
 __all__ = [
@@ -38,6 +38,8 @@ __all__ = [
 DEFAULT_SUBSET_GUARD = 25
 # Guard for N! permutation enumeration.
 DEFAULT_PERMUTATION_GUARD = 10
+# Coalitions are int64 bit masks, so bit 63 (the sign bit) is unusable.
+MAX_PLAYERS = 63
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,11 @@ class Game:
     ) -> None:
         if n_players < 1:
             raise ValueError("need at least one player")
+        if n_players > MAX_PLAYERS:
+            raise ShapvalError(
+                f"games are limited to {MAX_PLAYERS} players because coalitions "
+                f"are int64 bit masks, got {n_players}"
+            )
         if utility is None and batch_utility is None:
             raise ValueError("provide a utility function or a batch form of it")
         if not math.isfinite(range_r) or range_r <= 0:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import Game, PlayerSubset, ValueVector
-from .parallel import chunk_ranges, ordered_chunk_map, resolve_threads
+from .parallel import chunk_ranges, ordered_chunk_map, ordered_sum, resolve_threads
+from .permutation import ORDERING_CHUNK, sample_orderings
 from .rng import stream
 
 __all__ = [
@@ -34,7 +35,7 @@ __all__ = [
     "estimate_group_testing",
 ]
 
-_CHUNK = 4096
+_TEST_CHUNK = 4096  # pooled tests per random stream
 
 
 def bennett_h(u):
@@ -156,10 +157,9 @@ def _test_chunk(
     g = stream(seed, "group-test", chunk_index)
     count = hi - lo
     ks = g.choice(np.arange(1, n), size=count, p=plan.q)
-    # ranks of i.i.d. uniforms form a uniform random ordering; the first k
-    # ranks select a uniform k-subset without replacement
-    ranks = np.argsort(np.argsort(g.random((count, n)), axis=1), axis=1)
-    member = ranks < ks[:, None]
+    # the first k players of a uniform random ordering form a uniform
+    # k-subset: shuffle each row of "first k players in" independently
+    member = g.permuted(np.arange(n) < ks[:, None], axis=1)
     masks = member @ (1 << np.arange(n, dtype=np.int64))
     utils = game.values_of_masks(masks)
     return masks, utils, member.T.astype(np.float64) @ utils
@@ -171,12 +171,10 @@ def _run_test_arrays(
     """All test masks and utilities plus the per-player difference potentials."""
     parts = ordered_chunk_map(
         lambda i, lo, hi: _test_chunk(game, plan, seed, i, lo, hi),
-        chunk_ranges(t_tests, _CHUNK),
+        chunk_ranges(t_tests, _TEST_CHUNK),
         threads,
     )
-    weighted = np.zeros(game.n_players, dtype=np.float64)
-    for _, _, w in parts:
-        weighted += w
+    weighted = ordered_sum([w for _, _, w in parts])
     masks = np.concatenate([p[0] for p in parts])
     utils = np.concatenate([p[1] for p in parts])
     potentials = (plan.z_norm / t_tests) * weighted
@@ -319,17 +317,17 @@ def _baseline_player_value(game: Game, t_orderings: int, seed: int, threads: int
     """
     n = game.n_players
 
-    def chunk_sum(_i: int, lo: int, hi: int) -> float:
-        perms = np.stack([stream(seed, "baseline-perm", t).permutation(n) for t in range(lo, hi)])
-        prefixes = np.cumsum(1 << perms.astype(np.int64), axis=1)
+    def chunk_sum(i: int, lo: int, hi: int) -> np.ndarray:
+        perms = sample_orderings(seed, "baseline-perm", i, hi - lo, n)
+        prefixes = np.cumsum(1 << perms, axis=1)
         pos = np.argmax(perms == 0, axis=1)
-        with_mask = prefixes[np.arange(perms.shape[0]), pos]
+        with_mask = prefixes[np.arange(hi - lo), pos]
         before_mask = with_mask - 1  # player 0 carries bit value 1
         gain = game.values_of_masks(with_mask) - game.values_of_masks(before_mask)
-        return float(gain.sum())
+        return gain.sum()
 
-    parts = ordered_chunk_map(chunk_sum, chunk_ranges(t_orderings, _CHUNK), threads)
-    return math.fsum(parts) / t_orderings
+    parts = ordered_chunk_map(chunk_sum, chunk_ranges(t_orderings, ORDERING_CHUNK), threads)
+    return float(ordered_sum(parts)) / t_orderings
 
 
 def estimate_group_testing(

@@ -1,8 +1,11 @@
 """Deterministic chunk-level parallelism.
 
-Work is split into fixed chunks whose randomness comes from per-chunk (or
-per-task) streams; partial results are merged in chunk order, so output
-is bitwise identical for every worker count.
+Work is split into fixed chunks, each drawing its randomness from one
+stream keyed on its chunk index; partial results are merged in chunk
+order, so output is bitwise identical for every worker count.  Chunk
+boundaries depend only on the total and the chunk size, which makes the
+chunk size part of the output contract: for a given seed, changing it
+changes the values.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
+
+import numpy as np
 
 T = TypeVar("T")
 
@@ -41,3 +46,15 @@ def ordered_chunk_map(
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(fn, i, lo, hi) for i, (lo, hi) in enumerate(ranges)]
         return [f.result() for f in futures]
+
+
+def ordered_sum(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Sum per-chunk results in chunk order.
+
+    Floating-point addition is not associative; a fixed order is what
+    keeps totals identical for every worker count.
+    """
+    total = np.array(parts[0], dtype=np.float64)
+    for p in parts[1:]:
+        total += p
+    return total

@@ -14,17 +14,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import Game, ValueVector
-from .parallel import chunk_ranges, ordered_chunk_map, resolve_threads
+from .parallel import chunk_ranges, ordered_chunk_map, ordered_sum, resolve_threads
 from .rng import stream
 
 __all__ = [
+    "ORDERING_CHUNK",
     "PermutationBudget",
     "required_permutations",
     "estimate_permutation",
+    "marginal_chunk",
+    "sample_orderings",
     "sample_permutation_marginals",
 ]
 
-_CHUNK = 256
+# Orderings drawn from one random stream.  Streams are keyed on the chunk
+# index, so this size is part of the output contract: changing it changes
+# every sampled value for a given seed.
+ORDERING_CHUNK = 256
 
 
 def required_permutations(range_r: float, n_players: int, epsilon: float, delta: float) -> int:
@@ -66,16 +72,27 @@ class PermutationBudget:
         return cls(t, epsilon=epsilon, delta=delta, range_r=range_r)
 
 
-def _marginal_chunk(game: Game, seed: int, tag: str, lo: int, hi: int) -> np.ndarray:
-    """Marginal-contribution rows for orderings lo..hi-1, per player.
+def sample_orderings(
+    seed: int, tag: str, chunk_index: int, count: int, n_players: int
+) -> np.ndarray:
+    """(count, N) block of uniform random orderings of the players.
 
-    Each ordering is a Fisher-Yates shuffle driven by its own stream
-    keyed on (seed, tag, ordering index), so execution order does not
-    matter.
+    The whole block comes from one stream keyed on (seed, tag, chunk
+    index): each row of a tiled ``arange`` is shuffled independently.
     """
-    n = game.n_players
-    perms = np.stack([stream(seed, tag, t).permutation(n) for t in range(lo, hi)])
-    prefixes = np.cumsum(1 << perms.astype(np.int64), axis=1)
+    g = stream(seed, tag, chunk_index)
+    return g.permuted(np.tile(np.arange(n_players), (count, 1)), axis=1)
+
+
+def marginal_chunk(game: Game, seed: int, tag: str, chunk_index: int, count: int) -> np.ndarray:
+    """(count, N) marginal contributions, per player, over one chunk of orderings.
+
+    The orderings are ``sample_orderings(seed, tag, chunk_index, ...)``,
+    so a chunk's rows depend only on its index, not on the thread or the
+    order in which chunks run.
+    """
+    perms = sample_orderings(seed, tag, chunk_index, count, game.n_players)
+    prefixes = np.cumsum(1 << perms, axis=1)
     vals = game.values_of_masks(prefixes.reshape(-1)).reshape(prefixes.shape)
     marginals = np.concatenate([vals[:, :1], np.diff(vals, axis=1)], axis=1)
     phi = np.empty_like(marginals)
@@ -88,8 +105,8 @@ def sample_permutation_marginals(
 ) -> np.ndarray:
     """Materialized (T, N) matrix of per-ordering marginal contributions."""
     parts = [
-        _marginal_chunk(game, seed, tag, lo, hi)
-        for lo, hi in chunk_ranges(t_permutations, _CHUNK)
+        marginal_chunk(game, seed, tag, i, hi - lo)
+        for i, (lo, hi) in enumerate(chunk_ranges(t_permutations, ORDERING_CHUNK))
     ]
     return np.concatenate(parts, axis=0)
 
@@ -102,15 +119,12 @@ def estimate_permutation(
     workers = resolve_threads(threads)
     before = game.eval_count
     parts = ordered_chunk_map(
-        lambda _i, lo, hi: _marginal_chunk(game, seed, "perm", lo, hi).sum(axis=0),
-        chunk_ranges(t, _CHUNK),
+        lambda i, lo, hi: marginal_chunk(game, seed, "perm", i, hi - lo).sum(axis=0),
+        chunk_ranges(t, ORDERING_CHUNK),
         workers,
     )
-    totals = np.zeros(game.n_players, dtype=np.float64)
-    for p in parts:  # fixed merge order keeps results thread-count independent
-        totals += p
     return ValueVector(
-        totals / t,
+        ordered_sum(parts) / t,
         method="perm",
         eval_count=game.eval_count - before,
         seed=seed,

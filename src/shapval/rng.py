@@ -1,10 +1,12 @@
 """Counter-based random streams.
 
 Every stochastic routine in the package derives its randomness from
-(master seed, module tag, task index) triples, hashed into independent
-Philox keys.  Streams are therefore splittable: tasks can be executed in
-any order, on any number of threads, and still consume exactly the same
-random numbers.
+(master seed, module tag, chunk index) triples, hashed into independent
+Philox keys.  One stream serves a whole chunk of work (a block of
+orderings or of pooled tests), so chunks can be executed in any order,
+on any number of threads, and still consume exactly the same random
+numbers.  Because the key is the chunk index, not the index of an
+ordering or test, the chunk sizes are part of the output contract.
 """
 
 from __future__ import annotations

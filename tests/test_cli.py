@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from shapval.cli import (
     EXIT_BAD_CONFIG,
+    EXIT_FAILURE,
     EXIT_OK,
     EXIT_SIZE_GUARD,
     EXIT_UNKNOWN_METHOD,
@@ -229,6 +230,12 @@ class TestMainExitCodes:
         weights = ",".join(["1"] * 21)
         code = main(["exact", "--game", "additive", "--weights", weights, "--with-oracle"])
         assert code == EXIT_SIZE_GUARD
+
+    def test_player_limit_is_a_one_line_error(self, capsys):
+        code = main(["perm", "--game", "symmetric", "--players", "64", "--permutations", "5"])
+        assert code == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "63 players" in err
 
     def test_missing_game_is_config_error(self, capsys):
         assert main(["perm", "--permutations", "5"]) == EXIT_BAD_CONFIG

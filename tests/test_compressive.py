@@ -19,6 +19,7 @@ from shapval import (
     sample_bernoulli_matrix,
     sigma_k,
 )
+from shapval.permutation import ORDERING_CHUNK
 from conftest import exhaustive_one_sparse, one_sparse_recovery_instances
 
 
@@ -83,6 +84,15 @@ class TestCompressiveSample:
         before = game.eval_count
         compressive_sample(game, a, 25, seed=8)
         assert game.eval_count - before == 25 * 3
+
+    def test_identical_across_thread_counts(self, monkeypatch):
+        monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
+        g = make_random_game(7, seed=14)
+        a = sample_bernoulli_matrix(5, 7, seed=2)
+        t = 3 * ORDERING_CHUNK + 17  # four chunks, the last one partial
+        one = compressive_sample(g, a, t, seed=6, threads=1)
+        two = compressive_sample(g, a, t, seed=6, threads=2)
+        assert np.array_equal(one.y_bar, two.y_bar)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from shapval import (
     Game,
     PlayerSubset,
+    ShapvalError,
     SizeGuardError,
     UtilityRangeError,
     ValueVector,
@@ -77,6 +78,13 @@ class TestGame:
         g = make_glove_game()
         assert g.u_total == 1.0
         assert g.eval_count == 0  # bookkeeping probes are not billed
+
+    def test_player_limit_of_int64_masks(self):
+        assert make_symmetric_game(63).u_total == pytest.approx(1.0)
+        with pytest.raises(ShapvalError, match="63 players"):
+            make_symmetric_game(64)
+        with pytest.raises(ShapvalError, match="63 players"):
+            Game(100, None, range_r=1.0, batch_utility=lambda m: np.zeros(len(m)))
 
 
 class TestExactOracles:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import chi2
 
 from shapval import (
     DifferenceMatrix,
@@ -10,6 +11,7 @@ from shapval import (
     estimate_group_testing,
     exact_shapley_difference,
     exact_shapley_subsets,
+    make_additive_game,
     make_glove_game,
     make_random_game,
     make_symmetric_game,
@@ -19,6 +21,7 @@ from shapval import (
     run_tests,
 )
 from shapval.group_testing import _baseline_budgets, bennett_h
+from shapval.permutation import ORDERING_CHUNK
 from conftest import lp_max_violation
 
 
@@ -154,6 +157,21 @@ class TestRunTests:
         _, eight = run_tests(g, plan, 9000, seed=1, threads=8)
         assert np.array_equal(one.delta_u, eight.delta_u)
 
+    def test_activation_is_a_uniform_k_subset(self):
+        # 40 000 tests over ten 4096-test chunks at N=5; for each size k the
+        # bound is the chi-square quantile at a 1e-6 false-alarm rate, fixed
+        # before any draw was looked at
+        n, t = 5, 40_000
+        records, _ = run_tests(make_additive_game(np.ones(n)), build_plan(n), t, seed=23)
+        masks = np.array([rec.activation.mask for rec in records])
+        sizes = np.bitwise_count(masks)
+        for k in range(1, n):
+            subsets, counts = np.unique(masks[sizes == k], return_counts=True)
+            assert subsets.size == math.comb(n, k)
+            expected = counts.sum() / subsets.size
+            stat = float(((counts - expected) ** 2 / expected).sum())
+            assert stat <= chi2.ppf(1.0 - 1e-6, subsets.size - 1), k
+
 
 class TestRecoverFeasibility:
     def test_exact_differences_recover_exactly(self):
@@ -260,6 +278,15 @@ class TestEstimator:
         assert np.max(np.abs(feas.values - exact)) <= 2 * eps
         assert np.max(np.abs(base.values - exact)) <= 2 * eps
         assert np.max(np.abs(feas.values - base.values)) <= 2 * eps
+
+    def test_baseline_route_identical_across_thread_counts(self, monkeypatch):
+        monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
+        g = make_random_game(6, seed=13)
+        split = optimize_split_constants(6, 0.2, 0.1, 1.0)
+        assert math.ceil(split.m2 / 2) > 3 * ORDERING_CHUNK  # orderings span several chunks
+        one = estimate_group_testing(g, 0.2, 0.1, seed=4, recovery="baseline", threads=1)
+        two = estimate_group_testing(g, 0.2, 0.1, seed=4, recovery="baseline", threads=2)
+        assert np.array_equal(one.values, two.values)
 
     def test_unknown_recovery_rejected(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import chi2
 
 from shapval import (
     PermutationBudget,
@@ -14,6 +15,8 @@ from shapval import (
     required_permutations,
     sample_permutation_marginals,
 )
+from shapval.parallel import chunk_ranges
+from shapval.permutation import ORDERING_CHUNK, sample_orderings
 
 
 class TestRequiredPermutations:
@@ -119,3 +122,29 @@ class TestSamplingProperties:
         monkeypatch.setenv("SHAPVAL_THREADS", "8")
         b = estimate_permutation(g, budget, seed=4)
         assert np.array_equal(a.values, b.values)
+
+
+class TestOrderingSampler:
+    def test_orderings_uniform_across_many_chunks(self):
+        # 47 chunks at N=4; the bound is the chi-square quantile at a 1e-6
+        # false-alarm rate, fixed before any draw was looked at
+        n, t = 4, 12_000
+        chunks = enumerate(chunk_ranges(t, ORDERING_CHUNK))
+        perms = np.concatenate(
+            [sample_orderings(17, "perm", i, hi - lo, n) for i, (lo, hi) in chunks]
+        )
+        assert perms.shape == (t, n)
+        assert np.all(np.sort(perms, axis=1) == np.arange(n))
+        codes = perms @ (n ** np.arange(n))
+        _, counts = np.unique(codes, return_counts=True)
+        assert counts.size == math.factorial(n)
+        expected = t / math.factorial(n)
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        assert stat <= chi2.ppf(1.0 - 1e-6, math.factorial(n) - 1)
+
+    def test_marginals_mean_matches_estimator(self):
+        g = make_random_game(6, seed=31)
+        t = 2 * ORDERING_CHUNK + 188  # three chunks, the last one partial
+        phi = sample_permutation_marginals(g, t, seed=12, tag="perm")
+        vv = estimate_permutation(g, PermutationBudget(t), seed=12)
+        assert_allclose(phi.mean(axis=0), vv.values, rtol=0, atol=1e-12)
