@@ -45,9 +45,7 @@ from .games import (
 )
 from .group_testing import (
     BaselineSplit,
-    DifferenceMatrix,
     GroupTestPlan,
-    TestRecord,
     build_plan,
     estimate_group_testing,
     optimize_split_constants,
@@ -61,7 +59,6 @@ from .knn import (
     knn_shapley_exact,
     knn_shapley_testset,
     knn_utility,
-    pascal_identity_lhs,
 )
 from .permutation import (
     PermutationBudget,

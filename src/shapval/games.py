@@ -350,7 +350,7 @@ def make_additive_game(weights: Sequence[float]) -> Game:
 
     return Game(
         n,
-        lambda s: float(sum(w[k] for k in s)),
+        None,
         range_r=total,
         batch_utility=batch,
         monotone=True,
@@ -388,7 +388,7 @@ def make_symmetric_game(n_players: int, size_values: Sequence[float] | None = No
 
     return Game(
         n_players,
-        lambda s: float(f[len(s)]),
+        None,
         range_r=r,
         batch_utility=batch,
         monotone=bool(np.all(np.diff(f) >= 0)),
@@ -410,7 +410,7 @@ def make_glove_game() -> Game:
 
     return Game(
         3,
-        lambda s: 1.0 if 0 in s and (1 in s or 2 in s) else 0.0,
+        None,
         range_r=1.0,
         batch_utility=batch,
         monotone=True,
@@ -432,7 +432,7 @@ def make_voting_game(weights: Sequence[float], quota: float) -> Game:
 
     return Game(
         n,
-        lambda s: 1.0 if sum(w[k] for k in s) >= quota else 0.0,
+        None,
         range_r=1.0,
         batch_utility=batch,
         monotone=True,
@@ -455,7 +455,7 @@ def make_random_game(n_players: int, seed: int, range_r: float = 1.0) -> Game:
 
     return Game(
         n_players,
-        lambda s: float(table[s.mask]),
+        None,
         range_r=range_r,
         batch_utility=batch,
         monotone=False,

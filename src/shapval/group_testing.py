@@ -5,9 +5,9 @@ drawn from a distribution q(k) proportional to 1/k + 1/(N-k).  Under
 that sampler, Z * u * (beta_i - beta_j) is an unbiased one-test
 estimator of the value difference s_i - s_j, so a modest number of
 pooled tests pins down all pairwise differences at once.  Values are
-then recovered either by fitting a vector to the difference matrix
-under the budget constraint (feasibility route) or by anchoring on one
-directly-estimated baseline player.
+then recovered either by fitting a vector to the differences under the
+budget constraint (feasibility route, in closed form) or by anchoring on
+one directly-estimated baseline player.
 """
 
 from __future__ import annotations
@@ -17,15 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game, PlayerSubset, ValueVector
+from .games import Game, ValueVector
 from .parallel import chunk_ranges, ordered_chunk_map, ordered_sum, resolve_threads
 from .permutation import ORDERING_CHUNK, sample_orderings
 from .rng import stream
 
 __all__ = [
     "GroupTestPlan",
-    "TestRecord",
-    "DifferenceMatrix",
     "BaselineSplit",
     "build_plan",
     "required_tests",
@@ -66,29 +64,6 @@ class GroupTestPlan:
             raise ValueError("test-size probabilities must sum to 1")
         if not 0.0 <= self.q_tot < 1.0:
             raise ValueError("q_tot must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class TestRecord:
-    """One pooled test: the activated coalition and its utility."""
-
-    activation: PlayerSubset
-    utility: float
-
-
-@dataclass(frozen=True)
-class DifferenceMatrix:
-    """Estimated pairwise value differences; antisymmetric by construction."""
-
-    delta_u: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.delta_u, dtype=np.float64)
-        object.__setattr__(self, "delta_u", d)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise ValueError("difference matrix must be square")
-        if not np.array_equal(d, -d.T):
-            raise ValueError("difference matrix must be exactly antisymmetric")
 
 
 @dataclass(frozen=True)
@@ -165,22 +140,6 @@ def _test_chunk(
     return masks, utils, member.T.astype(np.float64) @ utils
 
 
-def _run_test_arrays(
-    game: Game, plan: GroupTestPlan, t_tests: int, seed: int, threads: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All test masks and utilities plus the per-player difference potentials."""
-    parts = ordered_chunk_map(
-        lambda i, lo, hi: _test_chunk(game, plan, seed, i, lo, hi),
-        chunk_ranges(t_tests, _TEST_CHUNK),
-        threads,
-    )
-    weighted = ordered_sum([w for _, _, w in parts])
-    masks = np.concatenate([p[0] for p in parts])
-    utils = np.concatenate([p[1] for p in parts])
-    potentials = (plan.z_norm / t_tests) * weighted
-    return masks, utils, potentials
-
-
 def run_tests(
     game: Game,
     plan: GroupTestPlan,
@@ -188,77 +147,60 @@ def run_tests(
     seed: int,
     *,
     threads: int | None = None,
-) -> tuple[list[TestRecord], DifferenceMatrix]:
-    """Execute t_tests pooled tests and estimate all pairwise differences.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Execute t_tests pooled tests; returns (masks, utilities, potentials).
 
-    delta_u[i, j] = (Z / T) * sum_t u_t (beta_ti - beta_tj), one utility
-    evaluation per test.
+    masks[t] is the bit mask of test t's coalition and utilities[t] its
+    utility, one evaluation per test.  potentials[i] = (Z / T) *
+    sum_t u_t beta_ti, so the difference estimate of s_i - s_j is
+    delta_u[i, j] = potentials[i] - potentials[j].
     """
     if t_tests < 1:
         raise ValueError("need at least one test")
-    masks, utils, potentials = _run_test_arrays(
-        game, plan, t_tests, seed, resolve_threads(threads)
+    parts = ordered_chunk_map(
+        lambda i, lo, hi: _test_chunk(game, plan, seed, i, lo, hi),
+        chunk_ranges(t_tests, _TEST_CHUNK),
+        resolve_threads(threads),
     )
-    records = [
-        TestRecord(PlayerSubset(int(m), game.n_players), float(u))
-        for m, u in zip(masks, utils)
-    ]
-    return records, DifferenceMatrix(potentials[:, None] - potentials[None, :])
+    masks = np.concatenate([p[0] for p in parts])
+    utils = np.concatenate([p[1] for p in parts])
+    potentials = (plan.z_norm / t_tests) * ordered_sum([p[2] for p in parts])
+    return masks, utils, potentials
 
 
-def recover_feasibility(
-    delta_u: DifferenceMatrix | np.ndarray,
-    u_total: float,
-    epsilon: float,
-    *,
-    max_iter: int = 200_000,
-    stall_window: int = 100,
-    stall_tol: float = 1e-10,
-) -> ValueVector:
+def recover_feasibility(delta_u: np.ndarray, u_total: float, epsilon: float) -> ValueVector:
     """Values consistent with a difference matrix and the total budget.
 
-    Minimizes the worst pairwise violation max |(s_i - s_j) - delta_u[i, j]|
-    subject to sum(s) = u_total, by projected subgradient descent from the
-    closed-form averaging start s_i = (u_total + sum_j delta_u[i, j]) / N.
-    Iteration stops once the best violation has improved by less than
-    ``stall_tol`` over ``stall_window`` iterations.  If the final violation
-    still exceeds eps / (2 sqrt(N)), the certified-recovery precondition
-    failed and the result is flagged.
+    Minimizes the worst pairwise violation t = max |(s_i - s_j) - delta_u[i, j]|
+    subject to sum(s) = u_total.  The constraints s_i - s_j <= delta_u[i, j] + t
+    are difference constraints on the graph with an edge j -> i of weight
+    delta_u[i, j], feasible exactly when no cycle has negative weight once t
+    is added to every edge.  So the optimum is t* = max(0, -minimum cycle
+    mean), which Karp's recurrence over walks from a zero-cost virtual
+    source computes in O(N^3); the shortest-path distances under weights
+    delta_u + t*, read off the same walk table, are a feasible s, shifted
+    to sum to u_total.  If t* exceeds eps / (2 sqrt(N)), the
+    certified-recovery precondition failed and the result is flagged.
     """
-    d = delta_u.delta_u if isinstance(delta_u, DifferenceMatrix) else np.asarray(delta_u, float)
-    d = DifferenceMatrix(d).delta_u  # validates shape and antisymmetry
+    d = np.asarray(delta_u, dtype=np.float64)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError("difference matrix must be square")
+    if not np.array_equal(d, -d.T):
+        raise ValueError("difference matrix must be exactly antisymmetric")
     n = d.shape[0]
-    s = (u_total + d.sum(axis=1)) / n
-    rows, cols = np.triu_indices(n, 1)
-
-    def violation(vec: np.ndarray) -> tuple[float, int, int, float]:
-        gaps = (vec[:, None] - vec[None, :] - d)[rows, cols]
-        k = int(np.argmax(np.abs(gaps)))
-        return float(abs(gaps[k])), int(rows[k]), int(cols[k]), float(np.sign(gaps[k]))
-
-    best_f, i, j, sign = violation(s)
-    best_s = s.copy()
-    step_scale = max(best_f, 1e-30)
-    window_mark = best_f
-    f = best_f
-    for it in range(max_iter):
-        if f <= 0.0:
-            break
-        step = step_scale / (2.0 * math.sqrt(it + 1.0))
-        s[i] -= step * sign
-        s[j] += step * sign
-        f, i, j, sign = violation(s)
-        if f < best_f:
-            best_f = f
-            best_s = s.copy()
-        if (it + 1) % stall_window == 0:
-            if window_mark - best_f < stall_tol:
-                break
-            window_mark = best_f
-    best_s += (u_total - best_s.sum()) / n
-    certified = best_f <= epsilon / (2.0 * math.sqrt(n)) + 1e-12
+    # walks[k, v]: least weight of a k-edge walk ending at v; the zero
+    # diagonal adds self-loops of mean 0, a mean every 2-cycle already has
+    walks = np.zeros((n + 1, n))
+    for k in range(1, n + 1):
+        walks[k] = (walks[k - 1][:, None] + d.T).min(axis=0)
+    ks = np.arange(n)[:, None]
+    min_cycle_mean = float(((walks[n] - walks[:n]) / (n - ks)).max(axis=0).min())
+    t_star = max(0.0, -min_cycle_mean)
+    s = (walks[:n] + t_star * ks).min(axis=0)
+    s += (u_total - s.sum()) / n
+    certified = t_star <= epsilon / (2.0 * math.sqrt(n))
     return ValueVector(
-        best_s,
+        s,
         method="feasibility-recovery",
         eval_count=0,
         epsilon=epsilon,
@@ -343,10 +285,16 @@ def estimate_group_testing(
     """Full group-testing estimator with either recovery route.
 
     ``feasibility`` runs the Bennett-sized number of tests (unless
-    overridden) and fits values to the difference matrix.  ``baseline``
-    splits the budget between a direct estimate of player 0's value and
-    group tests for the N-1 differences to that player, then sets
-    s_i = s_0 + delta(i, 0).
+    overridden), so that the values are within epsilon of the Shapley
+    values in l2 norm with probability 1 - delta.  The difference
+    estimates are p_i - p_j for the test potentials p, so the max-violation
+    fit has the zero-violation closed form s = p + (U(I) - sum(p)) / N.
+    ``baseline`` splits the budget between a direct estimate of player 0's
+    value and group tests for the N-1 differences to that player, then sets
+    s_i = s_0 + delta(i, 0).  Its test count m1 carries a union bound over
+    the N-1 differences and no sqrt(N) factor, so its guarantee is per
+    player: max_i |s_hat_i - s_i| <= epsilon (l-infinity norm) with
+    probability 1 - delta.
     """
     workers = resolve_threads(threads)
     plan = build_plan(game.n_players)
@@ -355,26 +303,19 @@ def estimate_group_testing(
         t = t_tests if t_tests is not None else required_tests(
             game.n_players, epsilon, delta, game.range_r
         )
-        if t < 1:
-            raise ValueError("need at least one test")
-        u_total = game.u_total
-        _, _, potentials = _run_test_arrays(game, plan, t, seed, workers)
-        recovered = recover_feasibility(
-            potentials[:, None] - potentials[None, :], u_total, epsilon
-        )
+        _, _, potentials = run_tests(game, plan, t, seed, threads=workers)
         return ValueVector(
-            recovered.values,
+            potentials + (game.u_total - potentials.sum()) / game.n_players,
             method="group-test-feasibility",
             eval_count=game.eval_count - before,
             seed=seed,
             epsilon=epsilon,
             delta=delta,
-            flags=recovered.flags,
         )
     if recovery == "baseline":
         split = optimize_split_constants(game.n_players, epsilon, delta, game.range_r)
         t1 = t_tests if t_tests is not None else split.m1
-        _, _, potentials = _run_test_arrays(game, plan, t1, seed, workers)
+        _, _, potentials = run_tests(game, plan, t1, seed, threads=workers)
         orderings = max(1, math.ceil(split.m2 / 2))
         s_star = _baseline_player_value(game, orderings, seed, workers)
         values = s_star + (potentials - potentials[0])

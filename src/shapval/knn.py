@@ -9,7 +9,6 @@ nearest, after an O(N log N) sort.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
@@ -23,7 +22,6 @@ __all__ = [
     "knn_game",
     "knn_shapley_exact",
     "knn_shapley_testset",
-    "pascal_identity_lhs",
 ]
 
 _METRICS = ("euclidean", "manhattan")
@@ -108,7 +106,7 @@ def knn_game(instances: KnnInstance | Sequence[KnnInstance]) -> Game:
 
     return Game(
         n,
-        lambda s: batch(np.array([s.mask], dtype=np.int64))[0],
+        None,
         range_r=1.0,
         batch_utility=batch,
         monotone=False,
@@ -165,18 +163,3 @@ def knn_shapley_testset(instances: Sequence[KnnInstance]) -> ValueVector:
     for inst in instances:
         total += knn_shapley_exact(inst).values
     return ValueVector(total / len(instances), method="knn-testset", eval_count=0)
-
-
-def pascal_identity_lhs(a: int, n: int, m: int) -> float:
-    """Double sum of binomial ratios underlying the closed-form recursion.
-
-    sum_{i=0}^{min(a,n)} sum_{j=0}^{m} C(n,i) C(m,j) / C(n+m, i+j),
-    which collapses to (min(a, n) + 1)(m + n + 1)/(n + 1).
-    """
-    if a < 0 or n < 0 or m < 0:
-        raise ValueError("arguments must be nonnegative")
-    total = 0.0
-    for i in range(min(a, n) + 1):
-        for j in range(m + 1):
-            total += math.comb(n, i) * math.comb(m, j) / math.comb(n + m, i + j)
-    return total

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own computation paths: the
 Shapley oracle walks orderings directly from the definition, the
-max-violation oracle is a linear program, and the sparse oracle is an
-exhaustive least-squares search.
+max-violation oracle is a linear program, the sparse oracle is an
+exhaustive least-squares search, and the Pascal-identity sum is summed
+term by term.
 """
 
 import itertools
@@ -66,6 +67,27 @@ def lp_max_violation(diffs, total):
     )
     assert res.status == 0, res.message
     return res.x[:n], float(res.x[n])
+
+
+def has_negative_cycle(weights):
+    """Floyd-Warshall over the dense edge weights weights[u, v] of u -> v."""
+    dist = np.array(weights, dtype=np.float64)
+    for k in range(dist.shape[0]):
+        dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
+    return bool(np.any(np.diag(dist) < 0.0))
+
+
+def pascal_identity_lhs(a, n, m):
+    """Double sum of binomial ratios underlying the KNN closed-form recursion.
+
+    sum_{i=0}^{min(a,n)} sum_{j=0}^{m} C(n,i) C(m,j) / C(n+m, i+j),
+    which collapses to (min(a, n) + 1)(m + n + 1)/(n + 1).
+    """
+    total = 0.0
+    for i in range(min(a, n) + 1):
+        for j in range(m + 1):
+            total += math.comb(n, i) * math.comb(m, j) / math.comb(n + m, i + j)
+    return total
 
 
 def exhaustive_one_sparse(matrix, target, fit_tol=1e-9):

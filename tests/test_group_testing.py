@@ -1,12 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.stats import chi2
+from scipy.stats import binom, chi2
 
 from shapval import (
-    DifferenceMatrix,
     build_plan,
     estimate_group_testing,
     exact_shapley_difference,
@@ -22,7 +22,20 @@ from shapval import (
 )
 from shapval.group_testing import _baseline_budgets, bennett_h
 from shapval.permutation import ORDERING_CHUNK
-from conftest import lp_max_violation
+from conftest import has_negative_cycle, lp_max_violation
+
+
+def random_antisymmetric(g, n):
+    upper = np.triu(g.uniform(-1.0, 1.0, size=(n, n)), 1)
+    return upper - upper.T
+
+
+def max_violation(values, diffs):
+    return float(np.max(np.abs(values[:, None] - values[None, :] - diffs)))
+
+
+def member(masks, player):
+    return ((masks >> player) & 1).astype(np.float64)
 
 
 class TestPlan:
@@ -96,55 +109,47 @@ class TestRunTests:
         g = make_glove_game()
         plan = build_plan(3)
         before = g.eval_count
-        records, dmat = run_tests(g, plan, 500, seed=3)
+        masks, utils, potentials = run_tests(g, plan, 500, seed=3)
         assert g.eval_count - before == 500
-        assert len(records) == 500
-        for rec in records[:50]:
-            assert 1 <= len(rec.activation) <= 2
-            assert 0.0 <= rec.utility <= 1.0
-        assert dmat.delta_u.shape == (3, 3)
+        assert masks.shape == utils.shape == (500,)
+        sizes = np.bitwise_count(masks[:50])
+        assert np.all((1 <= sizes) & (sizes <= 2))
+        assert np.all((0.0 <= utils[:50]) & (utils[:50] <= 1.0))
+        assert potentials.shape == (3,)
 
     def test_per_test_statistic_is_bounded(self):
         g = make_random_game(6, seed=4)
         plan = build_plan(6)
-        records, _ = run_tests(g, plan, 2000, seed=8)
-        stats = np.array(
-            [
-                plan.z_norm * rec.utility * ((0 in rec.activation) - (5 in rec.activation))
-                for rec in records
-            ]
-        )
+        masks, utils, _ = run_tests(g, plan, 2000, seed=8)
+        stats = plan.z_norm * utils * (member(masks, 0) - member(masks, 5))
         assert np.all(np.abs(stats) <= plan.z_norm * g.range_r + 1e-12)
 
     def test_difference_matrix_antisymmetric(self):
         g = make_random_game(5, seed=6)
-        _, dmat = run_tests(g, build_plan(5), 300, seed=2)
-        assert np.array_equal(dmat.delta_u, -dmat.delta_u.T)
-        assert np.all(np.diag(dmat.delta_u) == 0.0)
+        plan = build_plan(5)
+        masks, utils, potentials = run_tests(g, plan, 300, seed=2)
+        weighted = np.array([member(masks, i) @ utils for i in range(5)])
+        assert_allclose(potentials, (plan.z_norm / 300) * weighted, rtol=1e-12, atol=1e-12)
+        delta_u = potentials[:, None] - potentials[None, :]
+        assert np.array_equal(delta_u, -delta_u.T)
+        assert np.all(np.diag(delta_u) == 0.0)
 
     def test_symmetric_players_difference_near_zero(self):
         g = make_symmetric_game(6)
         plan = build_plan(6)
         t = 40_000
-        records, dmat = run_tests(g, plan, t, seed=5)
+        masks, utils, potentials = run_tests(g, plan, t, seed=5)
         # exchangeable players: the pair statistic is centered at zero
-        stats = np.array(
-            [
-                plan.z_norm * rec.utility * ((1 in rec.activation) - (4 in rec.activation))
-                for rec in records
-            ]
-        )
+        stats = plan.z_norm * utils * (member(masks, 1) - member(masks, 4))
         stderr = stats.std(ddof=1) / math.sqrt(t)
-        assert abs(dmat.delta_u[1, 4]) <= 4.0 * stderr
+        assert abs(potentials[1] - potentials[4]) <= 4.0 * stderr
 
     def test_pair_statistic_unbiased_on_glove(self):
         g = make_glove_game()
         plan = build_plan(3)
         t = 60_000
-        records, _ = run_tests(g, plan, t, seed=11)
-        stats = plan.z_norm * np.array(
-            [rec.utility * ((0 in rec.activation) - (1 in rec.activation)) for rec in records]
-        )
+        masks, utils, _ = run_tests(g, plan, t, seed=11)
+        stats = plan.z_norm * utils * (member(masks, 0) - member(masks, 1))
         exact = exact_shapley_difference(g, 0, 1)
         stderr = stats.std(ddof=1) / math.sqrt(t)
         assert abs(stats.mean() - exact) <= 3.0 * stderr
@@ -153,17 +158,17 @@ class TestRunTests:
         monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
         g = make_random_game(6, seed=12)
         plan = build_plan(6)
-        _, one = run_tests(g, plan, 9000, seed=1, threads=1)
-        _, eight = run_tests(g, plan, 9000, seed=1, threads=8)
-        assert np.array_equal(one.delta_u, eight.delta_u)
+        one = run_tests(g, plan, 9000, seed=1, threads=1)
+        eight = run_tests(g, plan, 9000, seed=1, threads=8)
+        for a, b in zip(one, eight):
+            assert np.array_equal(a, b)
 
     def test_activation_is_a_uniform_k_subset(self):
         # 40 000 tests over ten 4096-test chunks at N=5; for each size k the
         # bound is the chi-square quantile at a 1e-6 false-alarm rate, fixed
         # before any draw was looked at
         n, t = 5, 40_000
-        records, _ = run_tests(make_additive_game(np.ones(n)), build_plan(n), t, seed=23)
-        masks = np.array([rec.activation.mask for rec in records])
+        masks, _, _ = run_tests(make_additive_game(np.ones(n)), build_plan(n), t, seed=23)
         sizes = np.bitwise_count(masks)
         for k in range(1, n):
             subsets, counts = np.unique(masks[sizes == k], return_counts=True)
@@ -196,6 +201,31 @@ class TestRecoverFeasibility:
         gaps = (out.values[:, None] - out.values[None, :] - noisy)[np.triu_indices(3, 1)]
         assert np.max(np.abs(gaps)) <= best + 1e-3
 
+    def test_matches_lp_oracle_on_random_matrices(self):
+        g = np.random.default_rng(404)
+        for trial in range(40):
+            n = 2 + trial % 11
+            diffs = random_antisymmetric(g, n)
+            out = recover_feasibility(diffs, u_total=1.5, epsilon=0.1)
+            _, best = lp_max_violation(diffs, 1.5)
+            assert abs(max_violation(out.values, diffs) - best) <= 1e-9, (trial, n)
+            assert abs(out.total - 1.5) <= 1e-12
+
+    def test_large_matrix_is_fast_and_optimal(self):
+        n = 300
+        diffs = random_antisymmetric(np.random.default_rng(300), n)
+        start = time.perf_counter()
+        out = recover_feasibility(diffs, u_total=1.0, epsilon=0.1)
+        elapsed = time.perf_counter() - start
+        violation = max_violation(out.values, diffs)
+        # the values attain `violation`, and no vector attains violation - 1e-9:
+        # with that slack on every edge j -> i of weight diffs[i, j], some cycle
+        # is negative (Floyd-Warshall), so violation is the optimum within 1e-9
+        assert has_negative_cycle(diffs.T + (violation - 1e-9))
+        assert not has_negative_cycle(diffs.T + violation + 1e-12)
+        assert out.flags == ("uncertified-violation",)
+        assert elapsed < 5.0
+
     def test_translation_consistency(self):
         diffs = np.array([[0.0, 0.4], [-0.4, 0.0]])
         base = recover_feasibility(diffs, u_total=1.0, epsilon=1.0)
@@ -207,7 +237,7 @@ class TestRecoverFeasibility:
         with pytest.raises(ValueError):
             recover_feasibility(bad, u_total=1.0, epsilon=0.1)
         with pytest.raises(ValueError):
-            DifferenceMatrix(bad)
+            recover_feasibility(np.zeros((2, 3)), u_total=1.0, epsilon=0.1)
 
     def test_uncertifiable_input_is_flagged(self):
         # cyclically inconsistent differences cannot be fit to any vector
@@ -258,6 +288,31 @@ class TestEstimator:
             vv = estimate_group_testing(make_glove_game(), 0.15, 0.1, seed=seed)
             hits += np.linalg.norm(vv.values - truth) <= 0.15
         assert hits >= 8
+
+    def test_feasibility_route_is_the_closed_form_at_63_players(self):
+        w = np.random.default_rng(63).uniform(0.5, 1.5, size=63)
+        game = make_additive_game(w / w.sum())
+        _, _, potentials = run_tests(game, build_plan(63), 20_000, seed=3)
+        vv = estimate_group_testing(game, 0.1, 0.1, seed=3, t_tests=20_000)
+        pairwise = vv.values[:, None] - vv.values[None, :]
+        assert np.max(np.abs(pairwise - (potentials[:, None] - potentials[None, :]))) <= 1e-12
+        assert abs(vv.total - game.u_total) <= 1e-12
+        assert vv.flags == ()
+
+    def test_baseline_route_guarantee_holds_in_max_norm(self):
+        # the baseline budget carries no sqrt(N) factor, so its (eps, delta)
+        # claim is per player; misses over 40 seeds are at most binomial(40,
+        # delta), bounded by its quantile at a 1e-3 false-alarm rate, fixed
+        # before any run
+        n, eps, delta, seeds = 40, 0.3, 0.1, 40
+        bound = binom.ppf(1.0 - 1e-3, seeds, delta)
+        w = np.random.default_rng(40).uniform(0.5, 1.5, size=n)
+        game = make_additive_game(w / w.sum())
+        misses = 0
+        for seed in range(seeds):
+            vv = estimate_group_testing(game, eps, delta, seed=seed, recovery="baseline")
+            misses += float(np.max(np.abs(vv.values - game.exact_values))) > eps
+        assert misses <= bound
 
     def test_feasibility_enforces_efficiency(self):
         g = make_random_game(5, seed=31)

@@ -13,8 +13,9 @@ from shapval import (
     knn_shapley_exact,
     knn_shapley_testset,
     knn_utility,
-    pascal_identity_lhs,
 )
+
+from conftest import pascal_identity_lhs
 
 
 def line_instance(labels, k, test_label="pos", distance="euclidean"):
