@@ -2,19 +2,22 @@
 
 The utility of a coalition of training points is the fraction of the
 test label's matches among the coalition's min(|S|, K) members closest
-to the test point.  For this utility the Shapley values admit an exact
-closed form computed in one sweep from the farthest point to the
-nearest, after an O(N log N) sort.
+to the test point.  In distance order a member counts while the running
+count of members is at most K, so a block of coalitions is scored with
+one ``cumsum`` per test point.  For this utility the Shapley values
+admit an exact closed form computed in one sweep from the farthest
+point to the nearest, after an O(N log N) sort.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
 import numpy as np
 
-from .games import Game, PlayerSubset, ValueVector
+from .games import Game, PlayerSubset, ValueVector, _membership
 
 __all__ = [
     "KnnInstance",
@@ -25,6 +28,9 @@ __all__ = [
 ]
 
 _METRICS = ("euclidean", "manhattan")
+# Rows per membership block: the (rows, N) temporaries stay a few hundred KB,
+# also when an exact oracle sends all 2^N masks in one batch.
+_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -53,6 +59,8 @@ class KnnInstance:
         n = self.points.shape[0]
         if self.points.ndim != 2 or self.labels.shape != (n,):
             raise ValueError("points must be (N, d) with one label per point")
+        if isinstance(self.k_neighbors, bool) or not isinstance(self.k_neighbors, numbers.Integral):
+            raise ValueError(f"k_neighbors must be an integer, got {self.k_neighbors!r}")
         if not 1 <= self.k_neighbors < n:
             raise ValueError("k_neighbors must satisfy 1 <= K < N")
         if self.distance not in _METRICS:
@@ -71,37 +79,42 @@ class KnnInstance:
         return self.points.shape[0]
 
 
-def _utility_from_sorted(instance: KnnInstance, mask: int) -> float:
-    """Match fraction over the coalition's closest min(|S|, K) members."""
-    k = instance.k_neighbors
-    hits = 0.0
-    taken = 0
-    for pos, original in enumerate(instance.order):
-        if mask >> int(original) & 1:
-            hits += instance.matches[pos]
-            taken += 1
-            if taken == k:
-                break
-    return hits / k
+def _match_fraction(instance: KnnInstance, member: np.ndarray) -> np.ndarray:
+    """Match fraction over each row's closest min(|S|, K) members.
+
+    ``member`` is a boolean (rows, N) membership block.  Hit counts are
+    exact integers, so each value is hits / K, rounded once.
+    """
+    in_order = member[:, instance.order]
+    running = np.cumsum(in_order, axis=1, dtype=np.min_scalar_type(instance.n_players))
+    hit = in_order & (running <= instance.k_neighbors) & (instance.matches > 0)
+    return np.count_nonzero(hit, axis=1) / instance.k_neighbors
 
 
 def knn_utility(instance: KnnInstance, subset: PlayerSubset) -> float:
     """Utility of a coalition of training points for this test point."""
     if subset.n_players != instance.n_players:
         raise ValueError("subset sized for a different training set")
-    return _utility_from_sorted(instance, subset.mask)
+    member = np.array([[p in subset for p in range(instance.n_players)]])
+    return float(_match_fraction(instance, member)[0])
 
 
 def knn_game(instances: KnnInstance | Sequence[KnnInstance]) -> Game:
-    """Wrap one instance (or the mean utility over several) as a Game."""
+    """Wrap one instance (or the mean utility over several) as a Game.
+
+    Masks are scored in blocks of rows.  Per test point, a member counts
+    while the ``cumsum`` of distance-ordered membership is at most K.
+    """
     seq = [instances] if isinstance(instances, KnnInstance) else list(instances)
     _check_shared_training(seq)
     n = seq[0].n_players
 
     def batch(masks: np.ndarray) -> np.ndarray:
         out = np.zeros(masks.shape[0], dtype=np.float64)
-        for inst in seq:
-            out += np.array([_utility_from_sorted(inst, int(m)) for m in masks])
+        for lo in range(0, masks.shape[0], _BLOCK_ROWS):
+            member = _membership(masks[lo : lo + _BLOCK_ROWS], n)
+            for inst in seq:
+                out[lo : lo + _BLOCK_ROWS] += _match_fraction(inst, member)
         return out / len(seq)
 
     return Game(

@@ -3,8 +3,8 @@
 These deliberately avoid the library's own computation paths: the
 Shapley oracle walks orderings directly from the definition, the
 max-violation oracle is a linear program, the sparse oracle is an
-exhaustive least-squares search, and the Pascal-identity sum is summed
-term by term.
+exhaustive least-squares search, the Pascal-identity sum is summed
+term by term, and the KNN utility is a loop over one coalition at a time.
 """
 
 import itertools
@@ -13,6 +13,8 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+
+from shapval import Game
 
 
 def brute_force_shapley(n, mask_utility):
@@ -88,6 +90,32 @@ def pascal_identity_lhs(a, n, m):
         for j in range(m + 1):
             total += math.comb(n, i) * math.comb(m, j) / math.comb(n + m, i + j)
     return total
+
+
+def knn_loop_utility(instance, mask):
+    """Match fraction over the coalition's closest min(|S|, K) members."""
+    k = instance.k_neighbors
+    hits = 0.0
+    taken = 0
+    for pos, original in enumerate(instance.order):
+        if mask >> int(original) & 1:
+            hits += instance.matches[pos]
+            taken += 1
+            if taken == k:
+                break
+    return hits / k
+
+
+def knn_loop_game(instances):
+    """Mean loop utility over the instances, summed in the order knn_game sums."""
+
+    def batch(masks):
+        out = np.zeros(masks.shape[0], dtype=np.float64)
+        for inst in instances:
+            out += np.array([knn_loop_utility(inst, int(m)) for m in masks])
+        return out / len(instances)
+
+    return Game(instances[0].n_players, None, range_r=1.0, batch_utility=batch, name="knn-loop")
 
 
 def exhaustive_one_sparse(matrix, target, fit_tol=1e-9):

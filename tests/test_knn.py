@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,9 @@ from numpy.testing import assert_allclose
 
 from shapval import (
     KnnInstance,
+    PermutationBudget,
     PlayerSubset,
+    estimate_permutation,
     exact_shapley_difference,
     exact_shapley_subsets,
     knn_game,
@@ -15,7 +19,7 @@ from shapval import (
     knn_utility,
 )
 
-from conftest import pascal_identity_lhs
+from conftest import knn_loop_game, knn_loop_utility, pascal_identity_lhs
 
 
 def line_instance(labels, k, test_label="pos", distance="euclidean"):
@@ -111,6 +115,11 @@ class TestRecursion:
             line_instance(["pos", "neg"], k=2)
         with pytest.raises(ValueError):
             line_instance(["pos", "neg"], k=0)
+        with pytest.raises(ValueError):
+            line_instance(["pos", "neg", "neg", "pos", "neg"], k=2.5)
+        with pytest.raises(ValueError):
+            line_instance(["pos", "neg", "neg"], k=True)
+        assert line_instance(["pos", "neg", "neg"], k=np.int64(2)).k_neighbors == 2
 
     def test_pairwise_difference_identity(self, rng):
         inst = random_instance(rng, 7, 2)
@@ -125,6 +134,85 @@ class TestRecursion:
         points = np.array([[1.0, 1.0], [0.0, 1.5]])
         inst = KnnInstance(points, np.array([1, 0]), np.zeros(2), 1, 1, "manhattan")
         assert list(inst.order) == [1, 0]  # |0|+|1.5| < |1|+|1|
+
+
+def grid_instances(rng, n, k, distance, n_test):
+    """Instances on a small integer grid, where many distances tie."""
+    points = rng.integers(0, 3, size=(n, 2)).astype(float)
+    labels = rng.integers(0, 2, size=n)
+    tests = rng.integers(0, 3, size=(n_test, 2)).astype(float)
+    return [KnnInstance(points, labels, t, 1, k, distance) for t in tests]
+
+
+def random_masks(rng, n, count):
+    """``count`` uniform masks plus every coalition of at most two players."""
+    small = [0] + [1 << i for i in range(n)]
+    small += [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+    drawn = rng.integers(0, 1 << n, size=count, dtype=np.int64)
+    return np.concatenate([drawn, np.array(small, dtype=np.int64)])
+
+
+class TestVectorizedUtility:
+    """The cumsum rule against the loop over one coalition at a time."""
+
+    @pytest.mark.parametrize(  # N = 16 training points, so K = 15 is N - 1
+        "k, distance, n_test",
+        [
+            (1, "euclidean", 1),
+            (3, "manhattan", 1),
+            (15, "euclidean", 1),
+            (5, "euclidean", 4),
+            (15, "manhattan", 3),
+        ],
+    )
+    def test_batch_matches_reference_loop_bytewise(self, rng, k, distance, n_test):
+        n = 16
+        instances = grid_instances(rng, n, k, distance, n_test)
+        diff = instances[0].points - instances[0].test_point
+        dist = np.abs(diff).sum(axis=1) if distance == "manhattan" else (diff * diff).sum(axis=1)
+        assert np.unique(dist).size < n  # the data carries tied distances
+        masks = random_masks(rng, n, 5000)
+        vectorized = knn_game(instances).values_of_masks(masks)
+        reference = knn_loop_game(instances).values_of_masks(masks)
+        assert vectorized.tobytes() == reference.tobytes()
+        for m in masks[:200].tolist():
+            subset = PlayerSubset(m, n)
+            assert knn_utility(instances[0], subset) == knn_loop_utility(instances[0], m)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_permutation_estimate_matches_reference_loop_bytewise(self, rng, seed):
+        instances = grid_instances(rng, 12, 3, "euclidean", 3)
+        budget = PermutationBudget(300)
+        fast = estimate_permutation(knn_game(instances), budget, seed)
+        slow = estimate_permutation(knn_loop_game(instances), budget, seed)
+        assert fast.values.tobytes() == slow.values.tobytes()
+        assert fast.eval_count == slow.eval_count
+
+    def test_permutation_estimate_identical_across_threads(self, rng):
+        game = knn_game(grid_instances(rng, 20, 4, "euclidean", 5))
+        budget = PermutationBudget(600)  # three chunks of orderings
+        one = estimate_permutation(game, budget, 7, threads=1)
+        two = estimate_permutation(game, budget, 7, threads=2)
+        assert one.values.tobytes() == two.values.tobytes()
+
+    def test_oracle_at_18_players_matches_closed_form(self, rng):
+        inst = random_instance(rng, 18, 3)
+        game = knn_game(inst)
+        oracle = exact_shapley_subsets(game).values
+        assert np.max(np.abs(oracle - knn_shapley_exact(inst).values)) <= 1e-12
+
+    def test_full_table_batch_memory_stays_below_one_float_block(self, rng):
+        n = 18
+        game = knn_game(random_instance(rng, n, 3))
+        masks = np.arange(1 << n, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            game.values_of_masks(masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (2^N, N) float64 temporary alone would take this much
+        assert peak < masks.size * n * 8
 
 
 class TestTestset:
