@@ -13,7 +13,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,17 +33,18 @@ from .games import (
 )
 from .results import ResultRecord, write_record
 
-METHODS = (
-    "exact",
-    "perm",
-    "group-test",
-    "compressive",
-    "knn",
-    "uniform",
-    "loo-influence",
-    "sweep",
-)
-GAME_KINDS = ("additive", "symmetric", "glove", "voting", "random")
+# subcommand -> help text; each subcommand is a method
+_COMMANDS = {
+    "exact": "exact values by subset enumeration",
+    "perm": "Monte Carlo permutation sampling",
+    "group-test": "pooled-test estimation of pairwise differences",
+    "compressive": "compressed sensing over permutation marginals",
+    "knn": "closed-form values for the KNN utility",
+    "uniform": "uniform division of the total utility",
+    "loo-influence": "largest-coalition influence heuristic",
+    "sweep": "run one method across a list of sampling budgets",
+}
+METHODS = tuple(_COMMANDS)
 ORACLE_GUARD = 20
 
 EXIT_OK = 0
@@ -53,79 +54,148 @@ EXIT_BAD_CONFIG = 4
 EXIT_UNREADABLE = 5
 EXIT_SIZE_GUARD = 6
 
+# game kind -> (the game parameters it takes, builder); weights, quota and players are required
+_GAMES = {
+    "additive": (("weights",), lambda c: make_additive_game(c.weights)),
+    "symmetric": (
+        ("players", "size_values"),
+        lambda c: make_symmetric_game(c.players, c.size_values),
+    ),
+    "glove": ((), lambda c: make_glove_game()),
+    "voting": (("weights", "quota"), lambda c: make_voting_game(c.weights, c.quota)),
+    "random": (
+        ("players", "game_seed", "range_r"),
+        lambda c: make_random_game(
+            c.players,
+            0 if c.game_seed is None else c.game_seed,
+            1.0 if c.range_r is None else c.range_r,
+        ),
+    ),
+}
+GAME_KINDS = tuple(_GAMES)
+_REQUIRED_GAME_PARAMS = ("weights", "quota", "players")
+_GAME_PARAMS = _REQUIRED_GAME_PARAMS + ("size_values", "game_seed", "range_r")
+
+
+def _tuple_of(parse, what: str):
+    def convert(text: str) -> tuple:
+        try:
+            return tuple(parse(tok) for tok in text.split(",") if tok.strip())
+        except ValueError as exc:
+            raise ConfigError(f"expected comma-separated {what}, got {text!r}") from exc
+
+    return convert
+
+
+_floats, _ints = _tuple_of(float, "numbers"), _tuple_of(int, "integers")
+
+
+def _bool(text: str) -> bool:
+    val = text.strip().lower()
+    if val in ("1", "true", "yes", "on"):
+        return True
+    if val in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"expected a boolean, got {text!r}")
+
+
+_SYNTHETIC = tuple(m for m in METHODS if m not in ("knn", "loo-influence"))
+
+
+def _option(key: str, parse, commands, default=None, **extras):
+    """One option: flag ``--key`` and config-file ``key``, parsed by ``parse``.
+
+    ``commands`` are the subcommands whose parser has the flag; ``extras``
+    go to ``add_argument``.  A ``_bool`` option is a switch.
+    """
+    how = {"action": "store_true"} if parse is _bool else {"type": parse}
+    meta = {"key": key, "parse": parse, "commands": commands, "argparse": {**how, **extras}}
+    return field(default=default, metadata=meta)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment run needs; exactly one game source."""
+    """Everything one experiment run needs; exactly one game source.
+
+    Each field after ``method`` declares its command-line flag and
+    config-file key; the parser and the file-plus-flag merge read them.
+    """
 
     method: str
-    game_kind: str | None = None
-    weights: tuple[float, ...] | None = None
-    quota: float | None = None
-    players: int | None = None
-    size_values: tuple[float, ...] | None = None
-    game_seed: int = 0
-    range_r: float = 1.0
-    train: str | None = None
-    test: str | None = None
-    k: int | None = None
-    epsilon: float | None = None
-    delta: float | None = None
-    seed: int = 0
-    permutations: int | None = None
-    tests: int | None = None
-    measurements: int | None = None
-    recovery: str = "feasibility"
-    l2: float = 1e-3
-    with_oracle: bool = False
-    output: str | None = None
-    fmt: str = "csv"
-    threads: int | None = None
-    budgets: tuple[int, ...] = ()
-    sweep_method: str | None = None
+    game_kind: str | None = _option("game", str, _SYNTHETIC, choices=GAME_KINDS)
+    weights: tuple[float, ...] | None = _option("weights", _floats, _SYNTHETIC)
+    quota: float | None = _option("quota", float, _SYNTHETIC)
+    players: int | None = _option("players", int, _SYNTHETIC)
+    size_values: tuple[float, ...] | None = _option("size_values", _floats, _SYNTHETIC)
+    game_seed: int | None = _option("game_seed", int, _SYNTHETIC)
+    range_r: float | None = _option("range", float, _SYNTHETIC, metavar="RANGE")
+    train: str | None = _option(
+        "train", str, METHODS, help="training CSV: f1,...,fd,label per row"
+    )
+    test: str | None = _option("test", str, METHODS, help="test CSV, same shape")
+    k: int | None = _option("k", int, METHODS, help="neighborhood size")
+    epsilon: float | None = _option("epsilon", float, METHODS)
+    delta: float | None = _option("delta", float, METHODS)
+    seed: int = _option("seed", int, METHODS, default=0)
+    permutations: int | None = _option("permutations", int, ("perm", "compressive", "sweep"))
+    tests: int | None = _option("tests", int, ("group-test", "sweep"))
+    measurements: int | None = _option("measurements", int, ("compressive", "sweep"))
+    recovery: str = _option(
+        "recovery", str, ("group-test", "sweep"), default="feasibility",
+        choices=("feasibility", "baseline"),
+    )
+    l2: float = _option(
+        "l2", float, ("loo-influence",), default=1e-3, help="ridge strength (default 1e-3)"
+    )
+    with_oracle: bool = _option("with_oracle", _bool, METHODS, default=False)
+    output: str | None = _option(
+        "output", str, METHODS, help="output path (CSV gets a .json metadata sibling)"
+    )
+    fmt: str = _option("format", str, METHODS, default="csv", choices=("csv", "json"))
+    threads: int | None = _option("threads", int, METHODS)
+    budgets: tuple[int, ...] = _option("budgets", _ints, ("sweep",), default=())
+    sweep_method: str | None = _option("method", str, ("sweep",), choices=METHODS[:-1])
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise UnknownMethodError(f"unknown method {self.method!r}")
         synthetic = self.game_kind is not None
         dataset = self.train is not None or self.test is not None
+        if synthetic and self.method in ("knn", "loo-influence"):
+            raise ConfigError(f"{self.method} needs --train/--test, not a synthetic game")
         if synthetic and dataset:
             raise ConfigError("give either a synthetic game or dataset paths, not both")
         if not synthetic and not dataset and self.method != "sweep":
             raise ConfigError("no game specified: use --game or --train/--test")
         if dataset and (self.train is None or self.test is None):
             raise ConfigError("dataset games need both --train and --test")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {self.fmt!r}")
-        if self.recovery not in ("feasibility", "baseline"):
-            raise ConfigError(f"unknown recovery route {self.recovery!r}")
+        for f in _OPTIONS:
+            choices, value = f.metadata["argparse"].get("choices"), getattr(self, f.name)
+            if choices and value is not None and value not in choices:
+                raise ConfigError(f"{_FLAGS[f.name]} must be one of {choices}, got {value!r}")
+        takes = _GAMES[self.game_kind][0] if synthetic else ()
+        kind = self.game_kind or "dataset"
+        for name in _GAME_PARAMS:
+            given = getattr(self, name) is not None
+            if given and name not in takes:
+                raise ConfigError(f"{kind} games take no {_FLAGS[name]}")
+            if not given and name in takes and name in _REQUIRED_GAME_PARAMS:
+                raise ConfigError(f"{kind} games need {_FLAGS[name]}")
+        if self.range_r is not None and not 0 < self.range_r < math.inf:
+            raise ConfigError(f"--range must be positive and finite, got {self.range_r!r}")
+        if self.threads is not None and self.threads < 1:
+            raise ConfigError(f"--threads must be positive, got {self.threads}")
+
+
+_OPTIONS = tuple(f for f in fields(ExperimentConfig) if f.metadata)
+_FLAGS = {f.name: "--" + f.metadata["key"].replace("_", "-") for f in _OPTIONS}
 
 
 def build_game(config: ExperimentConfig) -> Game:
     """Materialize the configured game (synthetic family or KNN dataset)."""
     if config.game_kind is not None:
-        kind = config.game_kind
-        if kind not in GAME_KINDS:
-            raise ConfigError(f"unknown game kind {kind!r}")
-        if kind == "additive":
-            if config.weights is None:
-                raise ConfigError("additive games need --weights")
-            return make_additive_game(config.weights)
-        if kind == "symmetric":
-            if config.players is None:
-                raise ConfigError("symmetric games need --players")
-            return make_symmetric_game(config.players, config.size_values)
-        if kind == "glove":
-            return make_glove_game()
-        if kind == "voting":
-            if config.weights is None or config.quota is None:
-                raise ConfigError("voting games need --weights and --quota")
-            return make_voting_game(config.weights, config.quota)
-        if config.players is None:
-            raise ConfigError("random games need --players")
-        return make_random_game(config.players, config.game_seed, config.range_r)
-    instances = load_knn_instances(config)
-    return knn.knn_game(instances)
+        return _GAMES[config.game_kind][1](config)
+    return knn.knn_game(load_knn_instances(config))
 
 
 def load_knn_instances(config: ExperimentConfig) -> list[knn.KnnInstance]:
@@ -235,7 +305,7 @@ def run_experiment(config: ExperimentConfig) -> ResultRecord:
         vv = _estimator_values(config, game)
         oracle_game = game
     l2_err = linf_err = None
-    if config.with_oracle and config.method != "loo-influence":
+    if config.with_oracle:
         assert oracle_game is not None
         if oracle_game.n_players > ORACLE_GUARD:
             raise SizeGuardError(
@@ -264,7 +334,7 @@ def run_experiment(config: ExperimentConfig) -> ResultRecord:
 def sweep_budgets(config: ExperimentConfig, budget_list) -> list[ResultRecord]:
     """One record per budget entry, for the method named in the sweep config."""
     method = config.sweep_method or config.method
-    if method in ("sweep",) or method not in METHODS:
+    if method == "sweep":
         raise UnknownMethodError(f"sweep needs a concrete method, got {method!r}")
     records = []
     for budget in budget_list:
@@ -283,36 +353,10 @@ def sweep_budgets(config: ExperimentConfig, budget_list) -> list[ResultRecord]:
 
 # -- configuration plumbing -------------------------------------------------
 
-_CONFIG_KEYS = {
-    "method",
-    "game",
-    "weights",
-    "quota",
-    "players",
-    "size_values",
-    "game_seed",
-    "range",
-    "train",
-    "test",
-    "k",
-    "epsilon",
-    "delta",
-    "seed",
-    "permutations",
-    "tests",
-    "measurements",
-    "recovery",
-    "l2",
-    "with_oracle",
-    "output",
-    "format",
-    "threads",
-    "budgets",
-}
-
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` lines; '#' starts a comment."""
+    known = {f.metadata["key"] for f in _OPTIONS}
     entries: dict[str, str] = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -323,120 +367,40 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         entries[key] = value.strip()
     return entries
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+def config_from_sources(
+    method: str, file_entries: dict[str, str], args: argparse.Namespace
+) -> ExperimentConfig:
+    """Merge config file entries with CLI flags: a flag beats the file, the file the default.
 
-
-def _ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _bool(text: str) -> bool:
-    val = text.strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
-def config_from_sources(method: str, file_entries: dict[str, str], args: argparse.Namespace) -> ExperimentConfig:
-    """Merge config file entries with CLI flags; flags win."""
-
-    def pick(flag_value, key: str, convert):
-        if flag_value is not None:
-            return flag_value
-        if key in file_entries:
+    The file's ``method`` must name the subcommand, except for ``sweep``,
+    where it names the method swept.
+    """
+    entries = dict(file_entries)
+    file_method = entries.get("method")
+    if file_method is not None and file_method not in METHODS:
+        raise UnknownMethodError(f"unknown method {file_method!r} in config")
+    if method != "sweep" and entries.pop("method", method) != method:
+        raise ConfigError(
+            f"config file method {file_method!r} conflicts with subcommand {method!r}"
+        )
+    kwargs = {}
+    for f in _OPTIONS:
+        key = f.metadata["key"]
+        value = getattr(args, f.name, None)
+        if value is None and key in entries:
             try:
-                return convert(file_entries[key])
-            except (ValueError, TypeError) as exc:
+                value = f.metadata["parse"](entries[key])
+            except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
-        return None
-
-    if "method" in file_entries:
-        file_method = file_entries["method"]
-        if file_method not in METHODS:
-            raise UnknownMethodError(f"unknown method {file_method!r} in config")
-        if file_method != method:
-            raise ConfigError(
-                f"config file method {file_method!r} conflicts with subcommand {method!r}"
-            )
-    kwargs = dict(
-        method=method,
-        game_kind=pick(getattr(args, "game", None), "game", str),
-        weights=pick(getattr(args, "weights", None), "weights", _floats),
-        quota=pick(getattr(args, "quota", None), "quota", float),
-        players=pick(getattr(args, "players", None), "players", int),
-        size_values=pick(getattr(args, "size_values", None), "size_values", _floats),
-        train=pick(getattr(args, "train", None), "train", str),
-        test=pick(getattr(args, "test", None), "test", str),
-        k=pick(getattr(args, "k", None), "k", int),
-        epsilon=pick(getattr(args, "epsilon", None), "epsilon", float),
-        delta=pick(getattr(args, "delta", None), "delta", float),
-        permutations=pick(getattr(args, "permutations", None), "permutations", int),
-        tests=pick(getattr(args, "tests", None), "tests", int),
-        measurements=pick(getattr(args, "measurements", None), "measurements", int),
-        output=pick(getattr(args, "output", None), "output", str),
-        threads=pick(getattr(args, "threads", None), "threads", int),
-        sweep_method=pick(getattr(args, "sweep_target", None), "method", str)
-        if method == "sweep"
-        else None,
-    )
-    kwargs["game_seed"] = pick(getattr(args, "game_seed", None), "game_seed", int) or 0
-    kwargs["range_r"] = pick(getattr(args, "range", None), "range", float) or 1.0
-    kwargs["seed"] = pick(getattr(args, "seed", None), "seed", int) or 0
-    kwargs["recovery"] = pick(getattr(args, "recovery", None), "recovery", str) or "feasibility"
-    l2 = pick(getattr(args, "l2", None), "l2", float)
-    kwargs["l2"] = 1e-3 if l2 is None else l2
-    kwargs["fmt"] = pick(getattr(args, "format", None), "format", str) or "csv"
-    oracle_flag = True if getattr(args, "with_oracle", False) else None
-    kwargs["with_oracle"] = bool(pick(oracle_flag, "with_oracle", _bool))
-    kwargs["budgets"] = pick(getattr(args, "budgets", None), "budgets", _ints) or ()
-    if method == "sweep" and kwargs["sweep_method"] == "sweep":
-        raise ConfigError("sweep cannot target itself")
-    return ExperimentConfig(**kwargs)
-
-
-# -- argument parsing --------------------------------------------------------
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value config file; flags override it")
-    sub.add_argument("--epsilon", type=float)
-    sub.add_argument("--delta", type=float)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--output", help="output path (CSV gets a .json metadata sibling)")
-    sub.add_argument("--format", choices=("csv", "json"))
-    sub.add_argument("--with-oracle", dest="with_oracle", action="store_true", default=False)
-    sub.add_argument("--threads", type=int)
-
-
-def _add_game(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--game", choices=GAME_KINDS)
-    sub.add_argument("--weights", type=lambda s: _floats(s))
-    sub.add_argument("--quota", type=float)
-    sub.add_argument("--players", type=int)
-    sub.add_argument("--size-values", dest="size_values", type=lambda s: _floats(s))
-    sub.add_argument("--game-seed", dest="game_seed", type=int)
-    sub.add_argument("--range", type=float)
-
-
-def _add_dataset(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--train", help="training CSV: f1,...,fd,label per row")
-    sub.add_argument("--test", help="test CSV, same shape")
-    sub.add_argument("--k", type=int, help="neighborhood size")
+        if value is not None:
+            kwargs[f.name] = value
+    return ExperimentConfig(method, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,34 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="shapval", description="Shapley value computation and estimation"
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "exact": "exact values by subset enumeration",
-        "perm": "Monte Carlo permutation sampling",
-        "group-test": "pooled-test estimation of pairwise differences",
-        "compressive": "compressed sensing over permutation marginals",
-        "knn": "closed-form values for the KNN utility",
-        "uniform": "uniform division of the total utility",
-        "loo-influence": "largest-coalition influence heuristic",
-        "sweep": "run one method across a list of sampling budgets",
-    }
-    for name, help_text in specs.items():
+    for name, help_text in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        _add_common(sub)
-        if name != "loo-influence":
-            _add_game(sub)
-        _add_dataset(sub)
-        if name in ("perm", "compressive", "sweep"):
-            sub.add_argument("--permutations", type=int)
-        if name in ("group-test", "sweep"):
-            sub.add_argument("--tests", type=int)
-            sub.add_argument("--recovery", choices=("feasibility", "baseline"))
-        if name in ("compressive", "sweep"):
-            sub.add_argument("--measurements", type=int)
-        if name == "loo-influence":
-            sub.add_argument("--l2", type=float, help="ridge strength (default 1e-3)")
-        if name == "sweep":
-            sub.add_argument("--method", dest="sweep_target", choices=METHODS[:-1])
-            sub.add_argument("--budgets", type=lambda s: _ints(s))
+        sub.add_argument("--config", help="flat key=value config file; flags override it")
+        for f in (f for f in _OPTIONS if name in f.metadata["commands"]):
+            sub.add_argument(_FLAGS[f.name], dest=f.name, default=None, **f.metadata["argparse"])
     return parser
 
 
@@ -491,10 +432,21 @@ def _emit(record: ResultRecord, config: ExperimentConfig, budget: int | None = N
             sys.stdout.write(f"{i},{v:.17g}\n")
 
 
+# checked in order: a subclass comes before its parent
+_EXIT_CODES = {
+    UnknownMethodError: EXIT_UNKNOWN_METHOD,
+    ConfigError: EXIT_BAD_CONFIG,
+    OSError: EXIT_UNREADABLE,
+    SizeGuardError: EXIT_SIZE_GUARD,
+    ShapvalError: EXIT_FAILURE,
+    ValueError: EXIT_FAILURE,
+    ZeroDivisionError: EXIT_FAILURE,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         file_entries = parse_config_file(args.config) if args.config else {}
         config = config_from_sources(args.command, file_entries, args)
         if config.method == "sweep":
@@ -508,21 +460,9 @@ def main(argv=None) -> int:
         else:
             _emit(run_experiment(config), config)
         return EXIT_OK
-    except UnknownMethodError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_METHOD
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_GUARD
-    except (ShapvalError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -447,6 +447,8 @@ def make_random_game(n_players: int, seed: int, range_r: float = 1.0) -> Game:
     """
     if not 1 <= n_players <= 20:
         raise ValueError("random table games support 1..20 players")
+    if not 0 < range_r < math.inf:
+        raise ValueError(f"range_r must be positive and finite, got {range_r!r}")
     table = stream(seed, "random-game").uniform(0.0, range_r, size=1 << n_players)
     table[0] = 0.0
 

@@ -337,3 +337,111 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("player,value")
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    return err
+
+
+def run_meta(argv, out):
+    assert main([*argv, "--output", str(out)]) == EXIT_OK
+    return json.loads(sibling_json_path(out).read_text())
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+    def test_range_must_be_positive_and_finite(self, value, capsys):
+        argv = ["perm", "--game", "random", "--players", "4", "--permutations", "5"]
+        assert main([*argv, "--range", value]) == EXIT_BAD_CONFIG
+        assert "--range" in one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "--game", "additive", "--weights", "1,2", "--range", "2"],
+            ["exact", "--game", "glove", "--players", "7"],
+            ["exact", "--game", "voting", "--weights", "1,2"],
+        ],
+    )
+    def test_game_parameter_the_kind_does_not_take_or_needs(self, argv, capsys):
+        assert main(argv) == EXIT_BAD_CONFIG
+        one_line_error(capsys)
+
+    def test_random_game_takes_range_and_game_seed(self, capsys):
+        argv = ["exact", "--game", "random", "--players", "4", "--range", "2", "--game-seed", "3"]
+        assert main(argv) == EXIT_OK
+
+    def test_knn_has_no_game_flags(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["knn", "--game", "additive", "--weights", "1,2", "--k", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("method", ["knn", "loo-influence"])
+    def test_synthetic_game_from_config_file_is_rejected(self, method, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("game = additive\nweights = 1,2\nk = 1\n")
+        assert main([method, "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        assert method in one_line_error(capsys)
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_threads_must_be_positive(self, value, tmp_path, capsys):
+        assert main(["exact", "--game", "glove", "--threads", value]) == EXIT_BAD_CONFIG
+        one_line_error(capsys)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"threads = {value}\n")
+        assert main(["exact", "--game", "glove", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        one_line_error(capsys)
+
+    def test_bad_list_flag_is_a_config_error(self, capsys):
+        assert main(["exact", "--game", "additive", "--weights", "1,x"]) == EXIT_BAD_CONFIG
+        one_line_error(capsys)
+
+
+class TestOptionSources:
+    def test_falsy_flag_beats_file(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 5\n")
+        argv = ["perm", "--game", "glove", "--permutations", "3", "--config", str(cfg)]
+        assert run_meta([*argv, "--seed", "0"], tmp_path / "a.csv")["seed"] == 0
+        assert run_meta(argv, tmp_path / "b.csv")["seed"] == 5
+
+    def test_file_beats_field_default(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("recovery = baseline\n")
+        argv = ["group-test", "--game", "random", "--players", "5", "--epsilon", "0.5",
+                "--delta", "0.2", "--seed", "1"]
+        from_file = run_meta([*argv, "--config", str(cfg)], tmp_path / "f.csv")
+        from_flag = run_meta([*argv, "--recovery", "baseline"], tmp_path / "g.csv")
+        default = run_meta(argv, tmp_path / "d.csv")
+        assert from_file["eval_count"] == from_flag["eval_count"] != default["eval_count"]
+
+    def test_bad_file_value_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 0x3\n")
+        assert main(["exact", "--game", "glove", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        assert "'seed'" in one_line_error(capsys)
+
+    def test_sweep_file_names_its_target(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("method = perm\ngame = glove\nbudgets = 2,4\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == EXIT_OK
+        assert (tmp_path / "sweep_b2.csv").exists()
+        assert (tmp_path / "sweep_b4.csv").exists()
+        assert read_record(tmp_path / "sweep_b4.csv").eval_count == 12
+
+    def test_sweep_method_flag_beats_file(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("method = uniform\ngame = glove\nbudgets = 2\n")
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", str(cfg), "--method", "perm", "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        assert read_record(tmp_path / "sweep_b2.csv").method == "perm"
+
+    def test_sweep_file_cannot_target_sweep(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("method = sweep\ngame = glove\nbudgets = 2\n")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        one_line_error(capsys)

@@ -213,6 +213,11 @@ class TestConstructorValidation:
         with pytest.raises(ValueError):
             make_symmetric_game(2, size_values=(1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("range_r", [0.0, -1.0, float("inf"), float("nan")])
+    def test_random_game_range_must_be_positive_and_finite(self, range_r):
+        with pytest.raises(ValueError, match="range_r"):
+            make_random_game(3, seed=0, range_r=range_r)
+
     def test_random_game_determinism(self):
         a = make_random_game(5, seed=9)
         b = make_random_game(5, seed=9)
