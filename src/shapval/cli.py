@@ -403,11 +403,21 @@ def config_from_sources(
     return ExperimentConfig(method, **kwargs)
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Rejects an option the subcommand does not take with the subcommand's own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shapval", description="Shapley value computation and estimation"
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     for name, help_text in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         sub.add_argument("--config", help="flat key=value config file; flags override it")

@@ -4,8 +4,8 @@ Per-ordering marginal contributions are projected through a random
 sign matrix, so only M << N noisy linear measurements of the value
 vector are averaged.  The deviation of the values from their mean
 U(I)/N is then recovered by l1 minimization under an l2 residual
-constraint (basis pursuit denoising), exploiting that most players
-carry near-average value.
+constraint (basis pursuit denoising, solved exactly by walking the lasso
+path), exploiting that most players carry near-average value.
 """
 
 from __future__ import annotations
@@ -114,58 +114,61 @@ def compressive_sample(
     )
 
 
-def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+_TIE = 1e-12  # relative to lam: events this close coincide, and smaller rates are tangent
 
 
-def _lasso(
-    a: np.ndarray,
-    b: np.ndarray,
-    lam: float,
-    x0: np.ndarray,
-    lipschitz: float,
-    max_iter: int = 20_000,
-    gap_tol: float = 1e-14,
-) -> np.ndarray:
-    """min 1/2 ||a x - b||^2 + lam ||x||_1 by accelerated shrinkage.
+def _segment(mat: np.ndarray, b: np.ndarray, active: np.ndarray, signs: np.ndarray):
+    """Lasso path segment x_S = p - lam d with these active columns and signs.
 
-    Stops on the duality gap, checked every 25 iterations.
+    Returns p, d, the residual at lam = 0, the slope of a^T r in lam,
+    ||A_S d||^2 and which columns lie off span(A_S).
     """
-    x = x0.copy()
-    z = x.copy()
-    momentum = 1.0
-    scale = max(1.0, 0.5 * float(b @ b))
-    for it in range(max_iter):
-        grad = a.T @ (a @ z - b)
-        x_new = _soft_threshold(z - grad / lipschitz, lam / lipschitz)
-        if float((z - x_new) @ (x_new - x)) > 0.0:  # restart on objective reversal
-            momentum, z = 1.0, x_new
-        else:
-            m_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
-            z = x_new + ((momentum - 1.0) / m_new) * (x_new - x)
-            momentum = m_new
-        x = x_new
-        if it % 25 == 0:
-            r = a @ x - b
-            primal = 0.5 * float(r @ r) + lam * float(np.abs(x).sum())
-            corr = float(np.max(np.abs(a.T @ r)))
-            nu = r * (1.0 if corr <= lam else lam / corr)
-            dual = -0.5 * float(nu @ nu) - float(nu @ b)
-            if primal - dual <= gap_tol * scale:
+    q, r = np.linalg.qr(mat[:, active])
+    qb, z = q.T @ b, np.linalg.solve(r.T, signs[active])
+    off_span = np.linalg.norm(mat - q @ (q.T @ mat), axis=0) > 1e-9 * np.linalg.norm(mat, axis=0)
+    return np.linalg.solve(r, qb), np.linalg.solve(r, z), b - q @ qb, mat.T @ (q @ z), z @ z, off_span
+
+
+def _next_segment(mat, b, moving: np.ndarray, tied: np.ndarray, signs: np.ndarray):
+    """Active set and segment below a breakpoint; updates ``tied``.
+
+    Nonzero coefficients stay; a tied zero one joins if the direction pushes
+    its correlation past lam (Lawson-Hanson NNLS, lowest index first).
+    """
+    active = np.flatnonzero(moving)
+    seg = _segment(mat, b, active, signs)
+    while True:
+        eligible = np.flatnonzero(tied & (1.0 - signs * seg[3] > _TIE) & seg[5])
+        if eligible.size == 0:
+            return active, seg
+        old, active = np.append(seg[1], 0.0), np.append(active, eligible[0])
+        while True:
+            seg = _segment(mat, b, active, signs)
+            new, sgn = seg[1], signs[active]
+            bad = np.flatnonzero(~moving[active] & (new * sgn <= 0))
+            if bad.size == 0:
                 break
-    return x
+            ratios = old[bad] / (old[bad] - new[bad])
+            tied[active[-1]] &= ratios.min() > 0.0  # a joining column that cannot move stays out
+            old += ratios.min() * (new - old)
+            keep = moving[active] | (old * sgn > 0)
+            keep[bad[np.argmin(ratios)]] = False
+            active, old = active[keep], old[keep]
 
 
 def bpdn_solve(
     a: MeasurementMatrix | np.ndarray, residual_target: np.ndarray, epsilon: float
 ) -> np.ndarray:
-    """min ||x||_1 subject to ||a x - residual_target||_2 <= epsilon.
+    """min ||x||_1 subject to ||a x - residual_target||_2 <= epsilon, exactly.
 
-    Solved through the penalized form: the penalty weight is bisected
-    (at most 60 steps) until the residual constraint is active within
-    1e-8.  A zero epsilon is handled by targeting a tiny residual floor,
-    which reproduces the equality-constrained minimizer to well below
-    the advertised 1e-6 accuracy.
+    Lasso homotopy (Osborne, Presnell & Turlach 2000; Efron et al. 2004): from
+    lam = max |a^T b|, x = 0, the path of argmin 1/2 ||a x - b||^2 + lam ||x||_1
+    is linear until an inactive correlation reaches lam, an active coefficient
+    reaches zero or lam reaches 0 (events within a relative 1e-12 coincide).
+    It stops where ||a x - b|| is the target, max(epsilon, 1e-10 max(1, ||b||)).
+    With r = b - a x and lam = max |a^T r| the result is certified optimal:
+    ||r|| is the target (or x = 0) and a_j^T r = lam sign(x_j) where x_j != 0.
+    If no x meets the target, it returns the path's end (least squares, least l1).
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
@@ -175,25 +178,31 @@ def bpdn_solve(
         raise ValueError("residual target length must match the row count")
     norm_b = float(np.linalg.norm(b))
     target = max(epsilon, 1e-10 * max(1.0, norm_b))
-    if norm_b <= target:
-        return np.zeros(mat.shape[1])
-    lipschitz = float(np.linalg.norm(mat, 2)) ** 2
-    lam_hi = float(np.max(np.abs(mat.T @ b)))  # at lam_hi the solution is 0
-    lam_lo = 0.0
-    x = np.zeros(mat.shape[1])
-    feasible: np.ndarray | None = None
-    for _ in range(60):
-        lam = lam_hi / 2.0 if lam_lo == 0.0 else 0.5 * (lam_lo + lam_hi)
-        x = _lasso(mat, b, lam, x, lipschitz)
-        residual = float(np.linalg.norm(mat @ x - b))
-        if residual <= target:
-            feasible = x.copy()
-            lam_lo = lam
-            if target - residual <= 1e-8:
-                break
-        else:
-            lam_hi = lam
-    return feasible if feasible is not None else x
+    x, corr = np.zeros(mat.shape[1]), mat.T @ b
+    lam = float(np.max(np.abs(corr)))
+    if norm_b <= target or lam == 0.0:
+        return x
+    side = np.array([[1.0], [-1.0]])
+    while True:
+        signs = np.where(x != 0, np.sign(x), np.sign(corr))
+        tied = np.abs(corr) >= lam * (1.0 - _TIE)
+        active, (p, d, base, slope, uu, off_span) = _next_segment(mat, b, x != 0, tied, signs)
+        s, at_base, rate = signs[active], mat.T @ base, 1.0 - side * slope
+        with np.errstate(divide="ignore", invalid="ignore"):
+            leave = np.where(d * s < 0, np.minimum(p / d, lam), -np.inf)
+            gap = np.maximum(lam - side * (at_base + lam * slope), 0.0)
+            join = np.where((rate > _TIE) & off_span, lam - gap / rate, -np.inf)
+        lam_next = max(leave.max(initial=0.0), join.max(), 0.0)
+        slack = target * target - base @ base  # ||r||^2 = ||base||^2 + lam^2 uu
+        stop = math.sqrt(slack / uu) if slack >= 0 and uu > 0 else -1.0
+        lam_end = min(max(stop, lam_next), lam)
+        vals = p - lam_end * d
+        vals[(vals * s <= 0) | (leave >= lam_end - _TIE * lam)] = 0.0
+        x = np.zeros(mat.shape[1])
+        x[active] = vals
+        if stop >= lam_next or lam_next == 0.0:
+            return x
+        corr, lam = at_base + lam_next * slope, lam_next
 
 
 def required_t_compressive(range_r: float, epsilon: float, delta: float, m_rows: int) -> int:

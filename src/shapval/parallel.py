@@ -16,19 +16,30 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
+from .errors import ConfigError
+
 T = TypeVar("T")
 
 THREADS_ENV = "SHAPVAL_THREADS"
 
 
 def resolve_threads(requested: int | None = None) -> int:
-    """Worker count: explicit request capped by the SHAPVAL_THREADS env var."""
+    """Worker count: explicit request capped by the SHAPVAL_THREADS env var.
+
+    A set but empty variable is no cap; any other value must be a
+    positive integer, else ``ConfigError``.
+    """
     raw = os.environ.get(THREADS_ENV, "").strip()
-    cap = int(raw) if raw else 0
-    n = requested if requested and requested > 0 else (cap if cap > 0 else 1)
-    if cap > 0:
-        n = min(n, cap)
-    return max(1, n)
+    n = requested if requested and requested > 0 else None
+    if not raw:
+        return n or 1
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return min(n or cap, cap)
 
 
 def chunk_ranges(total: int, size: int) -> list[tuple[int, int]]:

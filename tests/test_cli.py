@@ -378,6 +378,14 @@ class TestRejectedInputs:
             main(["knn", "--game", "additive", "--weights", "1,2", "--k", "1"])
         assert exc.value.code == 2
 
+    def test_rejected_flag_is_reported_by_its_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["knn", "--game", "additive", "--k", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: shapval knn ")
+        assert err.endswith("shapval knn: error: unrecognized arguments: --game additive\n")
+
     @pytest.mark.parametrize("method", ["knn", "loo-influence"])
     def test_synthetic_game_from_config_file_is_rejected(self, method, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -393,6 +401,13 @@ class TestRejectedInputs:
         cfg.write_text(f"threads = {value}\n")
         assert main(["exact", "--game", "glove", "--config", str(cfg)]) == EXIT_BAD_CONFIG
         one_line_error(capsys)
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+    def test_threads_variable_must_be_a_positive_integer(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("SHAPVAL_THREADS", value)
+        argv = ["perm", "--game", "glove", "--permutations", "3"]
+        assert main(argv) == EXIT_BAD_CONFIG
+        assert "SHAPVAL_THREADS" in one_line_error(capsys)
 
     def test_bad_list_flag_is_a_config_error(self, capsys):
         assert main(["exact", "--game", "additive", "--weights", "1,x"]) == EXIT_BAD_CONFIG

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -35,6 +36,84 @@ def spiked_additive(n=16, spike=0.5, seed=0):
     w[i] += spike
     w[j] -= spike
     return make_additive_game(w), w
+
+
+def bpdn_target(b, epsilon):
+    """The residual norm bpdn_solve aims for: epsilon, floored for epsilon = 0."""
+    return max(epsilon, 1e-10 * max(1.0, float(np.linalg.norm(b))))
+
+
+def assert_certificate(a, b, epsilon, x, tol=1e-9):
+    """Optimality of x for min ||x||_1 s.t. ||a x - b|| <= epsilon, by KKT.
+
+    With r = b - a x and lam = max |a^T r|: ||r|| is the target, every
+    correlation is at most lam (so none off the support exceeds it), and
+    a_j^T r = lam sign(x_j) on the support.
+    """
+    target = bpdn_target(b, epsilon)
+    if not x.any():
+        assert np.linalg.norm(b) <= target
+        return
+    r = b - a @ x
+    corr = a.T @ r
+    lam = float(np.max(np.abs(corr)))
+    support = x != 0
+    assert lam > 0
+    assert abs(float(np.linalg.norm(r)) - target) <= tol
+    assert np.all(np.abs(corr[~support]) <= lam + tol)
+    assert np.max(np.abs(corr[support] - lam * np.sign(x[support]))) <= tol
+
+
+def certificate_instances():
+    """Sign matrices with sparse-plus-noise targets in their range.
+
+    Every M, N and epsilon of the grid, each with a plain matrix, a
+    planted duplicate column, a planted opposite column and a
+    nonsingular square matrix (M = N): 225 instances.
+    """
+    kinds = ("plain", "plain", "duplicate", "opposite", "square")
+    grid = itertools.product((8, 12, 16), (16, 40, 63), (0.0, 0.005, 0.02, 0.05, 0.1), kinds)
+    for seed, (m, n, epsilon, kind) in enumerate(grid):
+        g = np.random.default_rng(7000 + seed)
+        n = m if kind == "square" else n
+        a = g.choice([-1.0, 1.0], size=(m, n)) / math.sqrt(m)
+        while kind == "square" and np.linalg.matrix_rank(a) < m:
+            a = g.choice([-1.0, 1.0], size=(m, n)) / math.sqrt(m)
+        j, k = g.choice(n, size=2, replace=False)
+        if kind in ("duplicate", "opposite"):
+            a[:, j] = a[:, k] if kind == "duplicate" else -a[:, k]
+        x0 = 0.02 * g.normal(size=n)
+        x0[g.choice(n, size=3, replace=False)] += g.uniform(0.2, 1.0, size=3) * g.choice([-1.0, 1.0], size=3)
+        yield a, a @ x0, epsilon
+
+
+def tied_instances(count):
+    """Problems where many correlations tie: targets built from a few small numbers.
+
+    Small {-1, 0, 1} matrices, some with repeated or opposite columns, and
+    sign matrices with 1- to 3-sparse targets of +-1/2 and +-1 (as in the
+    spiked additive games), ``count`` of each.
+    """
+    g = np.random.default_rng(21)
+    for i in range(count):
+        m, n = int(g.integers(2, 7)), int(g.integers(2, 12))
+        a = g.integers(-1, 2, size=(m, n)).astype(float)
+        if i % 3 == 0:
+            a = a[:, g.integers(0, n, size=n)]
+        if i % 5 == 0:
+            a = a * g.choice([-1.0, 1.0], size=n)
+        b = g.integers(-3, 4, size=m).astype(float)
+        if i % 2:
+            b = a @ g.integers(-2, 3, size=n).astype(float)
+        yield a, b, (0.0, 0.5, 1.0)[i % 3]
+    g = np.random.default_rng(23)
+    for _ in range(count):
+        m, n = int(g.choice([4, 6, 8, 12, 16])), int(g.choice([8, 16, 40, 63]))
+        a = g.choice([-1.0, 1.0], size=(m, n)) / math.sqrt(m)
+        x0 = np.zeros(n)
+        k = int(g.integers(1, 4))
+        x0[g.choice(n, size=k, replace=False)] = g.choice([-1.0, -0.5, 0.5, 1.0], size=k)
+        yield a, a @ x0, float(g.choice([0.0, 0.02, 0.1, 0.3]))
 
 
 class TestMeasurementMatrix:
@@ -152,6 +231,55 @@ class TestBpdn:
         b = rng.normal(size=6)
         norms = [np.abs(bpdn_solve(a, b, eps)).sum() for eps in (0.01, 0.1, 0.5)]
         assert norms[0] >= norms[1] - 1e-8 >= norms[2] - 2e-8
+
+    def test_certificate_and_repeatability(self):
+        count = 0
+        for a, b, epsilon in certificate_instances():
+            x = bpdn_solve(a, b, epsilon)
+            assert_certificate(a, b, epsilon, x)
+            assert x.tobytes() == bpdn_solve(a, b, epsilon).tobytes()
+            count += 1
+        assert count >= 200
+
+    def test_certificate_with_many_ties(self):
+        for a, b, epsilon in tied_instances(600):
+            x = bpdn_solve(a, b, epsilon)
+            least_squares = np.linalg.lstsq(a, b, rcond=None)[0]
+            if np.linalg.norm(a @ least_squares - b) <= bpdn_target(b, epsilon):
+                assert_certificate(a, b, epsilon, x)
+            else:  # no x meets the target: the path ends at a least-squares solution
+                assert np.max(np.abs(a.T @ (b - a @ x))) <= 1e-9
+
+    def test_zero_epsilon_matches_linear_program(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        for a, b, epsilon in certificate_instances():
+            if epsilon != 0.0:
+                continue
+            n = a.shape[1]
+            lp = optimize.linprog(
+                np.ones(2 * n), A_eq=np.hstack([a, -a]), b_eq=b, bounds=(0, None), method="highs"
+            )
+            assert lp.status == 0
+            l1 = float(np.abs(bpdn_solve(a, b, 0.0)).sum())
+            # the target floor relaxes a x = b to a ball of radius t, which can
+            # lower ||x||_1 below basis pursuit's by at most t ||nu|| (nu its dual)
+            slack = bpdn_target(b, 0.0) * float(np.linalg.norm(lp.eqlin.marginals))
+            assert lp.fun - slack - 1e-9 <= l1 <= lp.fun + 1e-9
+
+    def test_coinciding_join_and_leave(self):
+        # the grouptest-additive63 benchmark game at workload seed 1 and
+        # compressive seed 1000021: on its path a column joins and another
+        # leaves at values of lam 1.1e-15 apart, one breakpoint
+        rng = np.random.default_rng([1, 63])
+        w = np.ones(63)
+        heavy = rng.choice(63, size=4, replace=False)
+        w[heavy] = rng.uniform(8.0, 12.0, size=4)
+        game = make_additive_game(w / w.sum())
+        a = sample_bernoulli_matrix(16, 63, seed=1000021)
+        state = compressive_sample(game, a, 1293, seed=1000021)
+        b = state.y_bar - state.s_bar * (a.entries @ np.ones(63))
+        x = bpdn_solve(a, b, 0.1)
+        assert_certificate(a.entries, b, 0.1, x)
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,8 @@ from shapval import (
     required_permutations,
     sample_permutation_marginals,
 )
-from shapval.parallel import chunk_ranges
+from shapval.errors import ConfigError
+from shapval.parallel import chunk_ranges, resolve_threads
 from shapval.permutation import ORDERING_CHUNK, sample_orderings
 
 
@@ -122,6 +123,25 @@ class TestSamplingProperties:
         monkeypatch.setenv("SHAPVAL_THREADS", "8")
         b = estimate_permutation(g, budget, seed=4)
         assert np.array_equal(a.values, b.values)
+
+
+
+class TestResolveThreads:
+    @pytest.mark.parametrize(
+        "env, requested, expected",
+        [(None, None, 1), (None, 4, 4), ("", 4, 4), ("3", None, 3), ("3", 8, 3), (" 3 ", 2, 2)],
+    )
+    def test_request_capped_by_variable(self, env, requested, expected, monkeypatch):
+        monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("SHAPVAL_THREADS", env)
+        assert resolve_threads(requested) == expected
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+    def test_variable_must_be_a_positive_integer(self, value, monkeypatch):
+        monkeypatch.setenv("SHAPVAL_THREADS", value)
+        with pytest.raises(ConfigError, match="SHAPVAL_THREADS"):
+            resolve_threads(2)
 
 
 class TestOrderingSampler:
