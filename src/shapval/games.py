@@ -195,12 +195,23 @@ class Game:
         return float(self.values_of_masks(np.array([mask], dtype=np.int64))[0])
 
     def values_of_masks(self, masks: np.ndarray) -> np.ndarray:
-        """Utilities for an array of subset bit masks.
+        """Utilities for a one-dimensional array of subset bit masks in [0, 2^N).
 
         Empty coalitions are worth 0 by identity and are not counted as
-        evaluations.
+        evaluations.  Any other input raises ``ShapvalError`` before
+        anything is evaluated.
         """
-        masks = np.asarray(masks, dtype=np.int64)
+        try:
+            masks = np.asarray(masks, dtype=np.int64)
+            # one pass: the OR of the masks has a bit at or above N, or the
+            # sign bit, exactly when some mask is out of range
+            bad = masks.ndim != 1 or int(np.bitwise_or.reduce(masks, axis=None)) >> self.n_players
+        except OverflowError:  # beyond int64
+            bad = True
+        if bad:
+            raise ShapvalError(
+                f"coalition masks must be a 1-D array of values in [0, 2^{self.n_players})"
+            )
         nonzero = masks != 0
         n_evals = int(nonzero.sum())
         out = np.zeros(masks.shape[0], dtype=np.float64)
@@ -329,8 +340,17 @@ def exact_shapley_difference(
 
 
 def _membership(masks: np.ndarray, n: int) -> np.ndarray:
-    """Boolean (len(masks), n) membership matrix."""
-    return ((np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(n)) & 1).astype(bool)
+    """Boolean (len(masks), n) membership matrix; bit i of a mask is column i."""
+    octets = np.ascontiguousarray(masks, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
+
+
+def _masks(member: np.ndarray) -> np.ndarray:
+    """int64 bit masks of a boolean (rows, n) membership matrix, n <= 63."""
+    octets = np.zeros((member.shape[0], 8), dtype=np.uint8)
+    packed = np.packbits(member, axis=1, bitorder="little")
+    octets[:, : packed.shape[1]] = packed
+    return octets.view("<i8").ravel()
 
 
 def make_additive_game(weights: Sequence[float]) -> Game:

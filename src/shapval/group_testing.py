@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game, ValueVector
+from .games import Game, ValueVector, _masks
 from .parallel import chunk_ranges, ordered_chunk_map, ordered_sum, resolve_threads
 from .permutation import ORDERING_CHUNK, sample_orderings
 from .rng import stream
@@ -120,6 +120,35 @@ def required_tests(n_players: int, epsilon: float, delta: float, range_r: float)
     return max(1, math.ceil(bound))
 
 
+def _uniform_subsets(g: np.random.Generator, ks: np.ndarray, n: int) -> np.ndarray:
+    """Boolean (len(ks), n) membership; row t is a uniform ks[t]-subset.
+
+    A uniform k-subset is the complement of a uniform (N-k)-subset, so
+    each row draws only its smaller side, s = min(k, N-k) players: the
+    first s steps of a Fisher-Yates shuffle, run across all rows at once.
+    Rows are visited in descending s, so the rows still drawing at step j
+    are a leading slice; position j is final after step j and never read
+    again, so a step only moves the displaced slot to the drawn position.
+    """
+    count = ks.shape[0]
+    small = np.minimum(ks, n - ks)
+    order = np.argsort(-small, kind="stable")
+    active = count - np.cumsum(np.bincount(small))
+    slots = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), count)
+    row = np.arange(count) * n
+    spot = order * n  # where each visited row's membership lives
+    member = np.zeros(count * n, dtype=bool)
+    for j in range(small.max()):
+        a = active[j]
+        pick = row[:a] + g.integers(j, n, size=a)
+        drawn = slots[pick]
+        slots[pick] = slots[row[:a] + j]
+        member[spot[:a] + drawn] = True
+    member = member.reshape(count, n)
+    np.logical_xor(member, (ks > n - ks)[:, None], out=member)
+    return member
+
+
 def _test_chunk(
     game: Game, plan: GroupTestPlan, seed: int, chunk_index: int, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,12 +159,9 @@ def _test_chunk(
     """
     n = game.n_players
     g = stream(seed, "group-test", chunk_index)
-    count = hi - lo
-    ks = g.choice(np.arange(1, n), size=count, p=plan.q)
-    # the first k players of a uniform random ordering form a uniform
-    # k-subset: shuffle each row of "first k players in" independently
-    member = g.permuted(np.arange(n) < ks[:, None], axis=1)
-    masks = member @ (1 << np.arange(n, dtype=np.int64))
+    ks = g.choice(np.arange(1, n), size=hi - lo, p=plan.q)
+    member = _uniform_subsets(g, ks, n)
+    masks = _masks(member)
     utils = game.values_of_masks(masks)
     return masks, utils, member.T.astype(np.float64) @ utils
 

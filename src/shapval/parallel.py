@@ -26,20 +26,22 @@ THREADS_ENV = "SHAPVAL_THREADS"
 def resolve_threads(requested: int | None = None) -> int:
     """Worker count: explicit request capped by the SHAPVAL_THREADS env var.
 
-    A set but empty variable is no cap; any other value must be a
-    positive integer, else ``ConfigError``.
+    ``None`` is no request; an explicit request must be at least 1.  A set
+    but empty variable is no cap; any other value must be a positive
+    integer.  Either violation raises ``ConfigError``.
     """
+    if requested is not None and requested < 1:
+        raise ConfigError(f"worker count must be at least 1, got {requested!r}")
     raw = os.environ.get(THREADS_ENV, "").strip()
-    n = requested if requested and requested > 0 else None
     if not raw:
-        return n or 1
+        return requested or 1
     try:
         cap = int(raw)
     except ValueError:
         cap = 0
     if cap < 1:
         raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return min(n or cap, cap)
+    return min(requested or cap, cap)
 
 
 def chunk_ranges(total: int, size: int) -> list[tuple[int, int]]:

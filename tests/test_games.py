@@ -18,6 +18,7 @@ from shapval import (
     make_symmetric_game,
     make_voting_game,
 )
+from shapval.games import _masks, _membership
 from conftest import brute_force_shapley, glove_mask_utility
 
 
@@ -79,12 +80,46 @@ class TestGame:
         assert g.u_total == 1.0
         assert g.eval_count == 0  # bookkeeping probes are not billed
 
+    @pytest.mark.parametrize("kind", ["additive", "table"])
+    def test_bad_masks_are_rejected_before_evaluation(self, kind):
+        g = make_additive_game((1.0, 2.0, 3.0)) if kind == "additive" else make_random_game(4, seed=1)
+        top = 1 << g.n_players
+        for masks in ([-1], [top], [1, top + 5], [np.iinfo(np.int64).min], [1 << 70], [[1, 2]], 1):
+            with pytest.raises(ShapvalError, match="coalition masks must be"):
+                g.values_of_masks(masks)
+        assert g.eval_count == 0  # rejected before anything is evaluated
+        assert g.values_of_masks([top - 1])[0] == pytest.approx(g.u_total)
+
+    def test_mask_range_at_63_players(self):
+        # 2^63 does not fit in int64, so the largest int64 is the full coalition
+        g = make_additive_game(np.ones(63))
+        assert g.values_of_masks([np.iinfo(np.int64).max])[0] == 63.0
+        for masks in ([-1], [np.iinfo(np.int64).min], [1 << 63]):
+            with pytest.raises(ShapvalError, match="coalition masks must be"):
+                g.values_of_masks(masks)
+
     def test_player_limit_of_int64_masks(self):
         assert make_symmetric_game(63).u_total == pytest.approx(1.0)
         with pytest.raises(ShapvalError, match="63 players"):
             make_symmetric_game(64)
         with pytest.raises(ShapvalError, match="63 players"):
             Game(100, None, range_r=1.0, batch_utility=lambda m: np.zeros(len(m)))
+
+
+class TestMembership:
+    @pytest.mark.parametrize("n", [1, 3, 40, 63])
+    def test_matches_shift_and_mask(self, n):
+        top = 1 << n
+        edges = [0, 1, top - 1, 1 << (n - 1), 1 << 62, (1 << 62) | 5, np.iinfo(np.int64).max]
+        drawn = np.random.default_rng(n).integers(0, top - 1, size=1000, endpoint=True)
+        masks = np.concatenate([np.array(edges, dtype=np.int64), drawn])
+        reference = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+        member = _membership(masks, n)
+        assert member.dtype == bool and member.flags.c_contiguous
+        assert member.shape == reference.shape
+        assert member.tobytes() == reference.tobytes()
+        in_range = masks < top
+        assert np.array_equal(_masks(member[in_range]), masks[in_range])
 
 
 class TestExactOracles:

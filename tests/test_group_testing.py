@@ -20,7 +20,7 @@ from shapval import (
     required_tests,
     run_tests,
 )
-from shapval.group_testing import _baseline_budgets, bennett_h
+from shapval.group_testing import _TEST_CHUNK, _baseline_budgets, bennett_h
 from shapval.permutation import ORDERING_CHUNK
 from conftest import has_negative_cycle, lp_max_violation
 
@@ -36,6 +36,22 @@ def max_violation(values, diffs):
 
 def member(masks, player):
     return ((masks >> player) & 1).astype(np.float64)
+
+
+def assert_uniform_k_subsets(n, t, seed):
+    """Chi-square test that every size k of t pooled tests is a uniform k-subset.
+
+    The bound is the chi-square quantile at a 1e-6 false-alarm rate per
+    size, fixed before any draw was looked at.
+    """
+    masks, _, _ = run_tests(make_additive_game(np.ones(n)), build_plan(n), t, seed=seed)
+    sizes = np.bitwise_count(masks)
+    for k in range(1, n):
+        subsets, counts = np.unique(masks[sizes == k], return_counts=True)
+        assert subsets.size == math.comb(n, k)
+        expected = counts.sum() / subsets.size
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        assert stat <= chi2.ppf(1.0 - 1e-6, subsets.size - 1), k
 
 
 class TestPlan:
@@ -164,18 +180,37 @@ class TestRunTests:
             assert np.array_equal(a, b)
 
     def test_activation_is_a_uniform_k_subset(self):
-        # 40 000 tests over ten 4096-test chunks at N=5; for each size k the
-        # bound is the chi-square quantile at a 1e-6 false-alarm rate, fixed
-        # before any draw was looked at
-        n, t = 5, 40_000
-        masks, _, _ = run_tests(make_additive_game(np.ones(n)), build_plan(n), t, seed=23)
+        # 40 000 tests over ten 4096-test chunks at N=5
+        assert_uniform_k_subsets(5, 40_000, seed=23)
+
+    @pytest.mark.parametrize("n, seed", [(6, 31), (7, 32)])
+    def test_every_size_is_a_uniform_k_subset(self, n, seed):
+        # 60 000 tests over fifteen 4096-test chunks; sizes above N/2 are drawn
+        # as complements, N=6 adds k = N/2
+        assert_uniform_k_subsets(n, 60_000, seed)
+
+    def test_inclusion_rates_at_63_players(self):
+        # among the size-k tests, a player's count is Binomial(tests, k/N); the
+        # band is its 1e-6 and 1 - 1e-6 quantiles, fixed before any draw was
+        # looked at
+        n, t = 63, 100_000
+        masks, _, _ = run_tests(make_additive_game(np.ones(n)), build_plan(n), t, seed=29)
         sizes = np.bitwise_count(masks)
-        for k in range(1, n):
-            subsets, counts = np.unique(masks[sizes == k], return_counts=True)
-            assert subsets.size == math.comb(n, k)
-            expected = counts.sum() / subsets.size
-            stat = float(((counts - expected) ** 2 / expected).sum())
-            assert stat <= chi2.ppf(1.0 - 1e-6, subsets.size - 1), k
+        for k in (1, 2, 61, 62):
+            rows = masks[sizes == k]
+            counts = ((rows[:, None] >> np.arange(n)) & 1).sum(axis=0)
+            lo, hi = binom.ppf([1e-6, 1.0 - 1e-6], rows.size, k / n)
+            assert np.all((lo <= counts) & (counts <= hi)), k
+
+    def test_identical_across_thread_counts_at_63_players(self, monkeypatch):
+        monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
+        g = make_additive_game(np.linspace(0.1, 1.0, 63))
+        plan = build_plan(63)
+        t = 3 * _TEST_CHUNK + 17
+        one = run_tests(g, plan, t, seed=2, threads=1)
+        two = run_tests(g, plan, t, seed=2, threads=2)
+        for a, b in zip(one, two):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestRecoverFeasibility:

@@ -143,6 +143,14 @@ class TestResolveThreads:
         with pytest.raises(ConfigError, match="SHAPVAL_THREADS"):
             resolve_threads(2)
 
+    @pytest.mark.parametrize("requested", [0, -3])
+    def test_explicit_request_must_be_positive(self, requested, monkeypatch):
+        monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
+        with pytest.raises(ConfigError, match="at least 1"):
+            resolve_threads(requested)
+        with pytest.raises(ConfigError, match="at least 1"):
+            estimate_permutation(make_additive_game((1.0, 2.0)), PermutationBudget(4), 0, threads=requested)
+
 
 class TestOrderingSampler:
     def test_orderings_uniform_across_many_chunks(self):

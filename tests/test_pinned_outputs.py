@@ -1,0 +1,75 @@
+"""Outputs pinned by SHA-256 digest at fixed seeds.
+
+Permutation sampling, compressive sampling, the baseline player's direct
+estimate and the utilities decoded from masks by ``games._membership``
+are pinned, so a change to the shared sampling or mask code that moves
+any of them, even in the last bit, fails here.  Group-test values are not
+pinned; their draw is tested for uniformity in test_group_testing.py.
+Recorded with numpy 2.4 on x86-64; a different BLAS may round the
+additive and KNN sums differently.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from shapval import (
+    PermutationBudget,
+    estimate_compressive,
+    estimate_permutation,
+    make_additive_game,
+    make_voting_game,
+)
+from shapval.group_testing import _baseline_player_value
+from shapval.knn import KnnInstance, knn_game
+
+
+def digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def games():
+    g = np.random.default_rng(2019)
+    additive = make_additive_game(g.uniform(0.0, 1.0, 63))
+    points, labels = g.normal(size=(40, 3)), g.integers(0, 2, 40)
+    tests, test_labels = g.normal(size=(3, 3)), g.integers(0, 2, 3)
+    knn = knn_game([KnnInstance(points, labels, tests[i], test_labels[i], 3) for i in range(3)])
+    voting = make_voting_game(g.integers(1, 5, 40).astype(float), 30.0)
+    masks = g.integers(0, 1 << 40, 2000)
+    return additive, knn, voting, masks
+
+
+def test_permutation_sampling(games):
+    additive, knn, _, _ = games
+    assert digest(estimate_permutation(additive, PermutationBudget(600), seed=3).values) == (
+        "7b5b02af63a96ec65c40cc914d4aa1d415f8cadf4e9a74147ce14e311550a443"
+    )
+    assert digest(estimate_permutation(knn, PermutationBudget(300), seed=4).values) == (
+        "2c0c8ce92f545711e7c69d5fd8be558c9b321b2728cc0a85c56f41fbea2eb4ad"
+    )
+
+
+def test_compressive_sampling(games):
+    additive = games[0]
+    assert digest(estimate_compressive(additive, 20, 600, 0.05, seed=5).values) == (
+        "4e76e3d13b2ec4b0aecdd91e1dad777d56ef5a0d66cb0bf99e905831b8679fa7"
+    )
+
+
+def test_baseline_player_estimate(games):
+    additive = games[0]
+    assert digest([_baseline_player_value(additive, 700, 6, 1)]) == (
+        "a462d14eb0210b77c1f81390dc8e66a27aa74c108787390c2220981d080ac5a1"
+    )
+
+
+def test_decoded_utilities(games):
+    _, knn, voting, masks = games
+    assert digest(knn.values_of_masks(masks)) == (
+        "6ca9340844841a7f1538e70445ff9dba1688c25adc8fe912dd2fb2f39c1dee39"
+    )
+    assert digest(voting.values_of_masks(masks)) == (
+        "7b52bbb4b46694d4f40b71e4c89e00e44e49e04a738ff90b6d6043e7fc4e414c"
+    )
