@@ -32,7 +32,6 @@ from .errors import (
 )
 from .games import (
     Game,
-    PlayerSubset,
     ValueVector,
     exact_shapley_difference,
     exact_shapley_permutations,
@@ -58,7 +57,6 @@ from .knn import (
     knn_game,
     knn_shapley_exact,
     knn_shapley_testset,
-    knn_utility,
 )
 from .permutation import (
     PermutationBudget,

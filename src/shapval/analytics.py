@@ -30,6 +30,10 @@ __all__ = [
     "additivity_violation",
 ]
 
+# stopping rule of fit_logistic's Newton iterations
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class StabilityProfile:
@@ -121,14 +125,7 @@ def logistic_loss(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, -margins)))
 
 
-def fit_logistic(
-    x: np.ndarray,
-    y: np.ndarray,
-    l2: float = 0.0,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> LogisticModel:
+def fit_logistic(x: np.ndarray, y: np.ndarray, l2: float = 0.0) -> LogisticModel:
     """Newton fit of sum_i log(1 + exp(-y_i x_i' theta)) + l2/2 ||theta||^2.
 
     With l2 = 0 on separable data the optimum diverges; pass a positive
@@ -138,11 +135,11 @@ def fit_logistic(
     y = np.asarray(y, dtype=np.float64)
     n, d = x.shape
     theta = np.zeros(d)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         margins = y * (x @ theta)
         p = _sigmoid(-margins)  # per-point misfit weight
         grad = -(x.T @ (p * y)) + l2 * theta
-        if float(np.linalg.norm(grad)) <= tol * max(1.0, n):
+        if float(np.linalg.norm(grad)) <= _NEWTON_TOL * max(1.0, n):
             break
         s = _sigmoid(x @ theta)
         hess = x.T @ (x * (s * (1.0 - s))[:, None]) + l2 * np.eye(d)

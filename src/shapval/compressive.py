@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ShapvalError
 from .games import Game, ValueVector
-from .parallel import chunk_ranges, ordered_chunk_map, ordered_sum, resolve_threads
-from .permutation import ORDERING_CHUNK, marginal_chunk
+from .parallel import check_count, chunk_ranges, ordered_chunk_map, ordered_sum, resolve_threads
+from .permutation import ORDERING_CHUNK, _check_accuracy, marginal_chunk
 from .rng import stream
 
 __all__ = [
@@ -67,8 +67,9 @@ class CompressiveState:
 
 def sample_bernoulli_matrix(m_rows: int, n_players: int, seed: int) -> MeasurementMatrix:
     """i.i.d. signs, each +1/sqrt(M) or -1/sqrt(M) with equal probability."""
-    if m_rows < 1 or n_players < 1:
-        raise ValueError("matrix dimensions must be positive")
+    check_count("m_rows", m_rows)
+    if n_players < 1:
+        raise ValueError("need at least one player")
     g = stream(seed, "bernoulli-matrix")
     signs = g.integers(0, 2, size=(m_rows, n_players)) * 2 - 1
     return MeasurementMatrix(signs / math.sqrt(m_rows), m_rows, seed)
@@ -90,8 +91,7 @@ def compressive_sample(
     """
     if a.entries.shape[1] != game.n_players:
         raise ValueError("measurement matrix width must match the player count")
-    if t_permutations < 1:
-        raise ValueError("need at least one permutation")
+    check_count("t_permutations", t_permutations)
     at = a.entries.T
     bound = game.range_r / math.sqrt(a.m_rows) + 1e-9 * max(1.0, game.range_r)
 
@@ -170,8 +170,8 @@ def bpdn_solve(
     ||r|| is the target (or x = 0) and a_j^T r = lam sign(x_j) where x_j != 0.
     If no x meets the target, it returns the path's end (least squares, least l1).
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not epsilon >= 0:  # NaN fails too
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
     mat = a.entries if isinstance(a, MeasurementMatrix) else np.asarray(a, dtype=np.float64)
     b = np.asarray(residual_target, dtype=np.float64)
     if b.shape != (mat.shape[0],):
@@ -207,10 +207,8 @@ def bpdn_solve(
 
 def required_t_compressive(range_r: float, epsilon: float, delta: float, m_rows: int) -> int:
     """Orderings per measurement row: ceil((2 r^2 / eps^2) ln(4M / delta))."""
-    if range_r <= 0 or epsilon <= 0 or m_rows < 1:
-        raise ValueError("range_r, epsilon and m_rows must be positive")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_accuracy(range_r, epsilon, delta)
+    check_count("m_rows", m_rows)
     return max(1, math.ceil((2.0 * range_r**2 / epsilon**2) * math.log(4.0 * m_rows / delta)))
 
 

@@ -1,10 +1,10 @@
 """Cooperative games and exact Shapley value computation.
 
 A game is a set of N players (data points) together with a bounded
-utility function over player subsets.  This module provides the game
-abstraction, subset machinery, exact Shapley oracles (subset form and
-permutation form), exact pairwise value differences, and the synthetic
-games used as ground truth by the estimators' tests.
+utility function over player subsets, given as int64 bit masks.  This
+module provides the game abstraction, exact Shapley oracles (subset form
+and permutation form), exact pairwise value differences, and the
+synthetic games used as ground truth by the estimators' tests.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .errors import ShapvalError, SizeGuardError, UtilityRangeError
 from .rng import stream
 
 __all__ = [
-    "PlayerSubset",
     "Game",
     "ValueVector",
     "exact_shapley_subsets",
@@ -40,50 +39,8 @@ DEFAULT_SUBSET_GUARD = 25
 DEFAULT_PERMUTATION_GUARD = 10
 # Coalitions are int64 bit masks, so bit 63 (the sign bit) is unusable.
 MAX_PLAYERS = 63
-
-
-@dataclass(frozen=True)
-class PlayerSubset:
-    """Immutable subset of players, stored as a bit mask.
-
-    Iteration yields member indices in ascending order.
-    """
-
-    mask: int
-    n_players: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.mask < (1 << self.n_players):
-            raise ValueError(f"mask {self.mask:#x} out of range for {self.n_players} players")
-
-    @classmethod
-    def from_indices(cls, indices: Sequence[int], n_players: int) -> "PlayerSubset":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < n_players:
-                raise ValueError(f"player index {i} out of range")
-            mask |= 1 << i
-        return cls(mask, n_players)
-
-    @classmethod
-    def full(cls, n_players: int) -> "PlayerSubset":
-        return cls((1 << n_players) - 1, n_players)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, player: int) -> bool:
-        return bool(self.mask >> player & 1)
+# Orderings per block in the permutation-form oracle.
+_PERMUTATION_BLOCK = 100_000
 
 
 @dataclass(frozen=True)
@@ -120,25 +77,23 @@ class ValueVector:
 class Game:
     """N-player game with a utility bounded in [0, range_r].
 
-    The utility callable must be pure (same subset, same value) and safe
-    to call from several threads at once.  If the raw utility assigns a
-    nonzero value to the empty coalition, that value is measured once at
+    ``utility`` maps a one-dimensional int64 array of coalition bit masks
+    (bit i set when player i is a member) to an array of one real value
+    per mask.  It must be pure (same coalition, same value) and safe to
+    call from several threads at once.  If the utility assigns a nonzero
+    value to the empty coalition, that value is measured once at
     construction and subtracted from every evaluation, so U(empty) = 0
     always holds.  Values outside [0, range_r] raise UtilityRangeError
     rather than being clamped: clamping would silently invalidate the
     concentration bounds built on the declared range.
-
-    ``batch_utility``, when provided, maps an int64 array of bit masks to
-    a float array and is used by the vectorized evaluation paths.
     """
 
     def __init__(
         self,
         n_players: int,
-        utility: Callable[[PlayerSubset], float] | None,
+        utility: Callable[[np.ndarray], np.ndarray],
         range_r: float,
         *,
-        batch_utility: Callable[[np.ndarray], np.ndarray] | None = None,
         monotone: bool = False,
         exact_values: np.ndarray | None = None,
         name: str = "",
@@ -150,8 +105,6 @@ class Game:
                 f"games are limited to {MAX_PLAYERS} players because coalitions "
                 f"are int64 bit masks, got {n_players}"
             )
-        if utility is None and batch_utility is None:
-            raise ValueError("provide a utility function or a batch form of it")
         if not math.isfinite(range_r) or range_r <= 0:
             raise ValueError("range_r must be a positive finite bound")
         self.n_players = int(n_players)
@@ -160,17 +113,17 @@ class Game:
         self.name = name
         self.exact_values = None if exact_values is None else np.asarray(exact_values, float)
         self._utility = utility
-        self._batch = batch_utility
         self._lock = threading.Lock()
         self._eval_count = 0
-        # construction-time bookkeeping probes are not billed to any method:
-        # one evaluation fixes the empty-coalition offset, one caches U(I)
-        self._offset = 0.0
-        self._offset = float(self._raw_of_masks(np.array([0], dtype=np.int64))[0])
         self._range_tol = 1e-9 * max(1.0, self.range_r)
-        full = (1 << self.n_players) - 1
-        total = float(self._raw_of_masks(np.array([full], dtype=np.int64))[0]) - self._offset
-        if total < -self._range_tol or total > self.range_r + self._range_tol:
+        # construction-time bookkeeping probes are not billed to any method:
+        # one evaluation fixes the empty-coalition offset, one caches U(I).
+        # They stay one-row calls: a batch utility's last bits may depend on
+        # the batch's row count (a matrix product is summed in blocks).
+        self._offset = float(self._evaluate(np.zeros(1, dtype=np.int64))[0])
+        full = np.array([(1 << self.n_players) - 1], dtype=np.int64)
+        total = float(self._evaluate(full)[0]) - self._offset
+        if not -self._range_tol <= total <= self.range_r + self._range_tol:
             raise UtilityRangeError(
                 f"full-coalition utility {total} outside declared range [0, {self.range_r}]"
             )
@@ -178,18 +131,15 @@ class Game:
 
     # -- evaluation ------------------------------------------------------
 
-    def _raw_of_masks(self, masks: np.ndarray) -> np.ndarray:
-        if self._batch is not None:
-            return np.asarray(self._batch(masks), dtype=np.float64)
-        out = np.empty(masks.shape[0], dtype=np.float64)
-        for pos, m in enumerate(masks):
-            out[pos] = self._utility(PlayerSubset(int(m), self.n_players))
-        return out
-
-    def value(self, subset: PlayerSubset) -> float:
-        if subset.n_players != self.n_players:
-            raise ValueError("subset is sized for a different game")
-        return self.value_of_mask(subset.mask)
+    def _evaluate(self, masks: np.ndarray) -> np.ndarray:
+        """Raw utilities of in-range masks, one real value per mask."""
+        vals = np.asarray(self._utility(masks))
+        if vals.shape != masks.shape or vals.dtype.kind not in "biuf":
+            raise ShapvalError(
+                f"the utility must return one real value per mask, an array of shape "
+                f"{masks.shape}; got {vals.dtype} of shape {vals.shape}"
+            )
+        return vals.astype(np.float64, copy=False)
 
     def value_of_mask(self, mask: int) -> float:
         return float(self.values_of_masks(np.array([mask], dtype=np.int64))[0])
@@ -216,9 +166,10 @@ class Game:
         n_evals = int(nonzero.sum())
         out = np.zeros(masks.shape[0], dtype=np.float64)
         if n_evals:
-            vals = self._raw_of_masks(masks[nonzero]) - self._offset
+            vals = self._evaluate(masks[nonzero]) - self._offset
             lo, hi = vals.min(), vals.max()
-            if lo < -self._range_tol or hi > self.range_r + self._range_tol:
+            # written so that a NaN fails it too
+            if not (lo >= -self._range_tol and hi <= self.range_r + self._range_tol):
                 raise UtilityRangeError(
                     f"utility value outside declared range [0, {self.range_r}]: "
                     f"saw [{lo}, {hi}]"
@@ -283,7 +234,7 @@ def exact_shapley_subsets(game: Game, *, max_players: int = DEFAULT_SUBSET_GUARD
 
 
 def exact_shapley_permutations(
-    game: Game, *, max_players: int = DEFAULT_PERMUTATION_GUARD, chunk: int = 100_000
+    game: Game, *, max_players: int = DEFAULT_PERMUTATION_GUARD
 ) -> ValueVector:
     """Exact Shapley values by enumerating all N! player orderings.
 
@@ -297,7 +248,7 @@ def exact_shapley_permutations(
     totals = np.zeros(n, dtype=np.float64)
     perm_iter = itertools.permutations(range(n))
     while True:
-        block = list(itertools.islice(perm_iter, chunk))
+        block = list(itertools.islice(perm_iter, _PERMUTATION_BLOCK))
         if not block:
             break
         perms = np.asarray(block, dtype=np.int64)
@@ -370,9 +321,8 @@ def make_additive_game(weights: Sequence[float]) -> Game:
 
     return Game(
         n,
-        None,
+        batch,
         range_r=total,
-        batch_utility=batch,
         monotone=True,
         exact_values=w.copy(),
         name="additive",
@@ -408,9 +358,8 @@ def make_symmetric_game(n_players: int, size_values: Sequence[float] | None = No
 
     return Game(
         n_players,
-        None,
+        batch,
         range_r=r,
-        batch_utility=batch,
         monotone=bool(np.all(np.diff(f) >= 0)),
         exact_values=np.full(n_players, f[n_players] / n_players),
         name="symmetric",
@@ -430,9 +379,8 @@ def make_glove_game() -> Game:
 
     return Game(
         3,
-        None,
+        batch,
         range_r=1.0,
-        batch_utility=batch,
         monotone=True,
         name="glove",
     )
@@ -452,9 +400,8 @@ def make_voting_game(weights: Sequence[float], quota: float) -> Game:
 
     return Game(
         n,
-        None,
+        batch,
         range_r=1.0,
-        batch_utility=batch,
         monotone=True,
         name="voting",
     )
@@ -477,9 +424,8 @@ def make_random_game(n_players: int, seed: int, range_r: float = 1.0) -> Game:
 
     return Game(
         n_players,
-        None,
+        batch,
         range_r=range_r,
-        batch_utility=batch,
         monotone=False,
         name=f"random-{seed}",
     )

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import Game, ValueVector, _masks
-from .parallel import chunk_ranges, ordered_chunk_map, ordered_sum, resolve_threads
-from .permutation import ORDERING_CHUNK, sample_orderings
+from .parallel import check_count, chunk_ranges, ordered_chunk_map, ordered_sum, resolve_threads
+from .permutation import ORDERING_CHUNK, _check_accuracy, sample_orderings
 from .rng import stream
 
 __all__ = [
@@ -109,10 +109,7 @@ def required_tests(n_players: int, epsilon: float, delta: float, range_r: float)
     a Bennett tail bound for every pair's difference estimate plus a union
     bound over all N(N-1)/2 pairs.  Grows like N (ln N)^2.
     """
-    if epsilon <= 0 or range_r <= 0:
-        raise ValueError("epsilon and range_r must be positive")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_accuracy(range_r, epsilon, delta)
     plan = build_plan(n_players)
     spread = 1.0 - plan.q_tot**2
     u = epsilon / (plan.z_norm * range_r * math.sqrt(n_players) * spread)
@@ -181,8 +178,7 @@ def run_tests(
     sum_t u_t beta_ti, so the difference estimate of s_i - s_j is
     delta_u[i, j] = potentials[i] - potentials[j].
     """
-    if t_tests < 1:
-        raise ValueError("need at least one test")
+    check_count("t_tests", t_tests)
     parts = ordered_chunk_map(
         lambda i, lo, hi: _test_chunk(game, plan, seed, i, lo, hi),
         chunk_ranges(t_tests, _TEST_CHUNK),
@@ -260,10 +256,7 @@ def optimize_split_constants(
     spaced by a factor 2^(1/10) so the conventional choice 2 is on the
     grid.
     """
-    if epsilon <= 0 or range_r <= 0:
-        raise ValueError("epsilon and range_r must be positive")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_accuracy(range_r, epsilon, delta)
     plan = build_plan(n_players)
     grid = 2.0 ** (np.arange(1, 65) / 10.0)  # 64 points in (1, 100]
     ce, cd = np.meshgrid(grid, grid, indexing="ij")

@@ -11,17 +11,16 @@ point to the nearest, after an O(N log N) sort.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
 import numpy as np
 
-from .games import Game, PlayerSubset, ValueVector, _membership
+from .games import Game, ValueVector, _membership
+from .parallel import check_count
 
 __all__ = [
     "KnnInstance",
-    "knn_utility",
     "knn_game",
     "knn_shapley_exact",
     "knn_shapley_testset",
@@ -59,9 +58,8 @@ class KnnInstance:
         n = self.points.shape[0]
         if self.points.ndim != 2 or self.labels.shape != (n,):
             raise ValueError("points must be (N, d) with one label per point")
-        if isinstance(self.k_neighbors, bool) or not isinstance(self.k_neighbors, numbers.Integral):
-            raise ValueError(f"k_neighbors must be an integer, got {self.k_neighbors!r}")
-        if not 1 <= self.k_neighbors < n:
+        check_count("k_neighbors", self.k_neighbors)
+        if not self.k_neighbors < n:
             raise ValueError("k_neighbors must satisfy 1 <= K < N")
         if self.distance not in _METRICS:
             raise ValueError(f"unknown metric {self.distance!r}")
@@ -91,14 +89,6 @@ def _match_fraction(instance: KnnInstance, member: np.ndarray) -> np.ndarray:
     return np.count_nonzero(hit, axis=1) / instance.k_neighbors
 
 
-def knn_utility(instance: KnnInstance, subset: PlayerSubset) -> float:
-    """Utility of a coalition of training points for this test point."""
-    if subset.n_players != instance.n_players:
-        raise ValueError("subset sized for a different training set")
-    member = np.array([[p in subset for p in range(instance.n_players)]])
-    return float(_match_fraction(instance, member)[0])
-
-
 def knn_game(instances: KnnInstance | Sequence[KnnInstance]) -> Game:
     """Wrap one instance (or the mean utility over several) as a Game.
 
@@ -119,9 +109,8 @@ def knn_game(instances: KnnInstance | Sequence[KnnInstance]) -> Game:
 
     return Game(
         n,
-        None,
+        batch,
         range_r=1.0,
-        batch_utility=batch,
         monotone=False,
         name="knn",
     )

@@ -10,6 +10,7 @@ changes the values.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
@@ -42,6 +43,12 @@ def resolve_threads(requested: int | None = None) -> int:
     if cap < 1:
         raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
     return min(requested or cap, cap)
+
+
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a positive integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def chunk_ranges(total: int, size: int) -> list[tuple[int, int]]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import Game, ValueVector
-from .parallel import chunk_ranges, ordered_chunk_map, ordered_sum, resolve_threads
+from .parallel import check_count, chunk_ranges, ordered_chunk_map, ordered_sum, resolve_threads
 from .rng import stream
 
 __all__ = [
@@ -33,16 +33,24 @@ __all__ = [
 ORDERING_CHUNK = 256
 
 
+def _check_accuracy(range_r: float, epsilon: float, delta: float) -> None:
+    """Raise ValueError, naming the argument, unless r and epsilon are
+    positive and finite and delta lies in (0, 1).  Shared by every
+    function that sizes a budget from (epsilon, delta)."""
+    for name, val in (("range_r", range_r), ("epsilon", epsilon)):
+        if not (math.isfinite(val) and val > 0):
+            raise ValueError(f"{name} must be positive and finite, got {val!r}")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+
+
 def required_permutations(range_r: float, n_players: int, epsilon: float, delta: float) -> int:
     """Orderings needed for an (epsilon, delta) guarantee in l2 norm.
 
     ceil((2 r^2 N / eps^2) * ln(2N / delta)): a union bound over players
     of per-player Hoeffding tails at accuracy eps / sqrt(N).
     """
-    if range_r <= 0 or epsilon <= 0:
-        raise ValueError("range_r and epsilon must be positive")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_accuracy(range_r, epsilon, delta)
     if n_players < 1:
         raise ValueError("need at least one player")
     bound = (2.0 * range_r * range_r * n_players / (epsilon * epsilon)) * math.log(
@@ -61,8 +69,7 @@ class PermutationBudget:
     range_r: float | None = None
 
     def __post_init__(self) -> None:
-        if self.t_permutations < 1:
-            raise ValueError("need at least one permutation")
+        check_count("t_permutations", self.t_permutations)
 
     @classmethod
     def from_accuracy(

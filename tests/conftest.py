@@ -115,7 +115,7 @@ def knn_loop_game(instances):
             out += np.array([knn_loop_utility(inst, int(m)) for m in masks])
         return out / len(instances)
 
-    return Game(instances[0].n_players, None, range_r=1.0, batch_utility=batch, name="knn-loop")
+    return Game(instances[0].n_players, batch, range_r=1.0, name="knn-loop")
 
 
 def exhaustive_one_sparse(matrix, target, fit_tol=1e-9):

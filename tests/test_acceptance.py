@@ -298,9 +298,8 @@ def test_criterion_10c_diagnostic_detects_genuine_violations():
 
     quad = Game(
         3,
-        None,
+        lambda m: (np.bitwise_count(np.asarray(m, dtype=np.uint64)) ** 2) / 9.0,
         range_r=1.0,
-        batch_utility=lambda m: (np.bitwise_count(np.asarray(m, dtype=np.uint64)) ** 2) / 9.0,
     )
     report = additivity_violation(quad, make_additive_game((1.0, 2.0, 3.0)))
     verdict(

@@ -41,7 +41,7 @@ def lambda_stable_game(n, seed, base=1.0):
                 out[t] = base * len(members) + float(np.mean(c[members]))
         return out
 
-    game = Game(n, None, range_r=base * n + 1.0, batch_utility=batch)
+    game = Game(n, batch, range_r=base * n + 1.0)
     return game, float(c.max() - c.min()), c
 
 
@@ -140,9 +140,7 @@ class TestGapBounds:
             return float(np.mean((theta(mask) * xt - yt) ** 2))
 
         top = max(loss(m) for m in range(1 << n))
-        game = Game(
-            n, None, range_r=top, batch_utility=lambda ms: np.array([top - loss(int(m)) for m in ms])
-        )
+        game = Game(n, lambda ms: np.array([top - loss(int(m)) for m in ms]), range_r=top)
         c_emp = 0.0
         for mask in range(1, 1 << n):
             size = bin(mask).count("1")
@@ -254,12 +252,7 @@ class TestLargestS:
 
 
 def scaled_game(game, c):
-    return Game(
-        game.n_players,
-        None,
-        range_r=c * game.range_r,
-        batch_utility=lambda m: c * game.values_of_masks(m),
-    )
+    return Game(game.n_players, lambda m: c * game.values_of_masks(m), range_r=c * game.range_r)
 
 
 class TestAdditivityDiagnostic:
@@ -300,10 +293,8 @@ class TestAdditivityDiagnostic:
         # quadratic-in-size game scaled so totals and marginal sums disagree
         quad = Game(
             3,
-            None,
+            lambda m: (np.bitwise_count(np.asarray(m, dtype=np.uint64)) ** 2) / 9.0,
             range_r=1.0,
-            batch_utility=lambda m: (np.bitwise_count(np.asarray(m, dtype=np.uint64)) ** 2)
-            / 9.0,
         )
         report = additivity_violation(quad, make_additive_game((1.0, 2.0, 3.0)))
         assert report.violation > 0.01

@@ -135,6 +135,11 @@ class TestMeasurementMatrix:
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
             sample_bernoulli_matrix(0, 3, seed=0)
+        for rows in (2.5, True):
+            with pytest.raises(ValueError, match="m_rows"):
+                sample_bernoulli_matrix(rows, 3, seed=0)
+            with pytest.raises(ValueError, match="m_rows"):
+                required_t_compressive(1.0, 0.1, 0.05, rows)
 
 
 class TestCompressiveSample:
@@ -183,9 +188,8 @@ class TestCompressiveSample:
         table = {0: 0.0, 1: 1.0, 2: 0.0, 3: 0.0}
         lying = Game(
             2,
-            None,
+            lambda m: np.array([table[int(x)] for x in m]),
             range_r=1.0,
-            batch_utility=lambda m: np.array([table[int(x)] for x in m]),
             monotone=True,
         )
         a = sample_bernoulli_matrix(4, 2, seed=11)
@@ -284,6 +288,10 @@ class TestBpdn:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
             bpdn_solve(np.eye(2), np.ones(2), -0.1)
+
+    def test_nan_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            bpdn_solve(np.eye(2), np.ones(2), math.nan)
 
 
 class TestEstimate:

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from shapval import (
     Game,
-    PlayerSubset,
     ShapvalError,
     SizeGuardError,
     UtilityRangeError,
@@ -22,23 +21,8 @@ from shapval.games import _masks, _membership
 from conftest import brute_force_shapley, glove_mask_utility
 
 
-class TestPlayerSubset:
-    def test_iteration_is_ascending(self):
-        s = PlayerSubset.from_indices([4, 1, 6], 8)
-        assert list(s) == [1, 4, 6]
-        assert s.indices() == (1, 4, 6)
-
-    def test_len_and_contains(self):
-        s = PlayerSubset(0b1011, 4)
-        assert len(s) == 3
-        assert 0 in s and 1 in s and 3 in s
-        assert 2 not in s
-
-    def test_mask_bounds(self):
-        with pytest.raises(ValueError):
-            PlayerSubset(1 << 4, 4)
-        with pytest.raises(ValueError):
-            PlayerSubset.from_indices([5], 3)
+def sizes(masks):
+    return np.bitwise_count(masks.astype(np.uint64))
 
 
 class TestValueVector:
@@ -57,18 +41,47 @@ class TestGame:
         assert g.eval_count == 0
 
     def test_offset_enforces_empty_zero(self):
-        g = Game(2, lambda s: 5.0 + len(s), range_r=2.0)
-        assert g.value(PlayerSubset(0, 2)) == 0.0
-        assert g.value(PlayerSubset(0b11, 2)) == 2.0
+        g = Game(2, lambda m: 5.0 + sizes(m), range_r=2.0)
+        assert g.value_of_mask(0) == 0.0
+        assert g.value_of_mask(0b11) == 2.0
 
     def test_out_of_range_utility_raises(self):
         # caught immediately when the full coalition already breaks the bound
         with pytest.raises(UtilityRangeError):
-            Game(2, lambda s: 2.0 * len(s), range_r=1.0)
+            Game(2, lambda m: 2.0 * sizes(m), range_r=1.0)
         # caught on evaluation when only an interior coalition breaks it
-        sneaky = Game(2, lambda s: 5.0 if len(s) == 1 else len(s) / 2.0, range_r=1.0)
+        sneaky = Game(2, lambda m: np.where(sizes(m) == 1, 5.0, sizes(m) / 2.0), range_r=1.0)
         with pytest.raises(UtilityRangeError):
             sneaky.value_of_mask(0b01)
+
+    def test_nan_utility_is_out_of_range(self):
+        with pytest.raises(UtilityRangeError):
+            Game(2, lambda m: np.full(len(m), np.nan), range_r=1.0)
+        g = Game(2, lambda m: np.where(sizes(m) == 1, np.nan, sizes(m) / 2.0), range_r=1.0)
+        with pytest.raises(UtilityRangeError):
+            g.values_of_masks([0b01, 0b11])
+        assert g.eval_count == 0
+
+    @pytest.mark.parametrize(
+        "bad, caught_at_construction",
+        [
+            (lambda m: 0.5, True),  # a scalar
+            # one value per batch, which is right for the one-mask construction probes
+            (lambda m: np.full(1, 0.5), False),
+            (lambda m: np.full((len(m), 1), 0.5), True),  # a column
+            (lambda m: np.full(len(m), "0.5"), True),  # not numbers
+        ],
+        ids=["scalar", "length-1", "2-D", "text"],
+    )
+    def test_utility_must_return_one_value_per_mask(self, bad, caught_at_construction):
+        if caught_at_construction:
+            with pytest.raises(ShapvalError, match="one real value per mask"):
+                Game(3, bad, range_r=1.0)
+        # well-formed for the one-mask construction probes only
+        g = Game(3, lambda m: np.zeros(len(m)) if len(m) == 1 else bad(m), range_r=1.0)
+        with pytest.raises(ShapvalError, match="one real value per mask"):
+            g.values_of_masks([1, 2, 3])
+        assert g.eval_count == 0
 
     def test_eval_count_tracks_nonempty_evaluations(self):
         g = make_additive_game((1.0, 1.0, 1.0))
@@ -103,7 +116,7 @@ class TestGame:
         with pytest.raises(ShapvalError, match="63 players"):
             make_symmetric_game(64)
         with pytest.raises(ShapvalError, match="63 players"):
-            Game(100, None, range_r=1.0, batch_utility=lambda m: np.zeros(len(m)))
+            Game(100, lambda m: np.zeros(len(m)), range_r=1.0)
 
 
 class TestMembership:
@@ -178,7 +191,7 @@ class TestExactOracles:
             reduced = (masks & 0b011) | ((masks & 0b1000) >> 1)
             return table[reduced]
 
-        g = Game(4, lambda s: batch(np.array([s.mask]))[0], range_r=1.0, batch_utility=batch)
+        g = Game(4, batch, range_r=1.0)
         values = exact_shapley_subsets(g).values
         assert values[2] == 0.0
 
@@ -187,9 +200,9 @@ class TestExactOracles:
             ta = rng.uniform(size=1 << n)
             tb = rng.uniform(size=1 << n)
             ta[0] = tb[0] = 0.0
-            ga = Game(n, None, 1.0, batch_utility=lambda m, t=ta: t[m])
-            gb = Game(n, None, 1.0, batch_utility=lambda m, t=tb: t[m])
-            gsum = Game(n, None, 2.0, batch_utility=lambda m: ta[m] + tb[m])
+            ga = Game(n, lambda m, t=ta: t[m], 1.0)
+            gb = Game(n, lambda m, t=tb: t[m], 1.0)
+            gsum = Game(n, lambda m: ta[m] + tb[m], 2.0)
             combined = exact_shapley_subsets(gsum).values
             parts = exact_shapley_subsets(ga).values + exact_shapley_subsets(gb).values
             assert_allclose(combined, parts, atol=1e-9)

@@ -133,6 +133,13 @@ class TestRunTests:
         assert np.all((0.0 <= utils[:50]) & (utils[:50] <= 1.0))
         assert potentials.shape == (3,)
 
+    def test_count_must_be_a_positive_integer(self):
+        g = make_glove_game()
+        for count in (0, 2.5, 3.0, True):
+            with pytest.raises(ValueError, match="t_tests"):
+                run_tests(g, build_plan(3), count, seed=3)
+        assert g.eval_count == 0
+
     def test_per_test_statistic_is_bounded(self):
         g = make_random_game(6, seed=4)
         plan = build_plan(6)

@@ -9,17 +9,15 @@ from numpy.testing import assert_allclose
 from shapval import (
     KnnInstance,
     PermutationBudget,
-    PlayerSubset,
     estimate_permutation,
     exact_shapley_difference,
     exact_shapley_subsets,
     knn_game,
     knn_shapley_exact,
     knn_shapley_testset,
-    knn_utility,
 )
 
-from conftest import knn_loop_game, knn_loop_utility, pascal_identity_lhs
+from conftest import knn_loop_game, pascal_identity_lhs
 
 
 def line_instance(labels, k, test_label="pos", distance="euclidean"):
@@ -39,25 +37,25 @@ def random_instance(rng, n, k):
 class TestUtility:
     def test_single_nearest_correct(self):
         inst = line_instance(["pos", "neg", "neg"], k=1)
-        assert knn_utility(inst, PlayerSubset.from_indices([0], 3)) == 1.0
+        assert knn_game(inst).value_of_mask(0b001) == 1.0
 
     def test_two_nearest_split(self):
         inst = line_instance(["pos", "neg", "neg"], k=2)
-        assert knn_utility(inst, PlayerSubset.from_indices([0, 1], 3)) == 0.5
+        assert knn_game(inst).value_of_mask(0b011) == 0.5
 
     def test_small_coalition_truncates_at_its_size(self):
         inst = line_instance(["pos", "neg", "neg"], k=2)
         # a single correct member fills only one of the two neighbor slots
-        assert knn_utility(inst, PlayerSubset.from_indices([0], 3)) == 0.5
+        assert knn_game(inst).value_of_mask(0b001) == 0.5
 
     def test_empty_is_zero(self):
         inst = line_instance(["pos", "neg"], k=1)
-        assert knn_utility(inst, PlayerSubset(0, 2)) == 0.0
+        assert knn_game(inst).value_of_mask(0) == 0.0
 
     def test_only_nearest_k_members_count(self):
         inst = line_instance(["neg", "pos", "pos"], k=1)
         # the wrong-label point 0 masks the correct points behind it
-        assert knn_utility(inst, PlayerSubset.from_indices([0, 1, 2], 3)) == 0.0
+        assert knn_game(inst).value_of_mask(0b111) == 0.0
 
 
 class TestRecursion:
@@ -175,9 +173,6 @@ class TestVectorizedUtility:
         vectorized = knn_game(instances).values_of_masks(masks)
         reference = knn_loop_game(instances).values_of_masks(masks)
         assert vectorized.tobytes() == reference.tobytes()
-        for m in masks[:200].tolist():
-            subset = PlayerSubset(m, n)
-            assert knn_utility(instances[0], subset) == knn_loop_utility(instances[0], m)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_permutation_estimate_matches_reference_loop_bytewise(self, rng, seed):

@@ -8,6 +8,9 @@ from scipy.stats import chi2
 from shapval import (
     PermutationBudget,
     estimate_permutation,
+    optimize_split_constants,
+    required_t_compressive,
+    required_tests,
     exact_shapley_subsets,
     make_additive_game,
     make_glove_game,
@@ -53,6 +56,28 @@ class TestRequiredPermutations:
             required_permutations(1.0, 10, 0.1, 1.5)
 
 
+# every function that sizes a budget from (epsilon, delta), called as (r, epsilon, delta)
+SIZERS = {
+    "required_permutations": lambda r, eps, delta: required_permutations(r, 10, eps, delta),
+    "required_tests": lambda r, eps, delta: required_tests(10, eps, delta, r),
+    "optimize_split_constants": lambda r, eps, delta: optimize_split_constants(10, eps, delta, r),
+    "required_t_compressive": lambda r, eps, delta: required_t_compressive(r, eps, delta, 8),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("sizer", list(SIZERS))
+def test_accuracy_arguments_are_checked(sizer, bad):
+    size = SIZERS[sizer]
+    size(1.0, 0.5, 0.1)
+    with pytest.raises(ValueError, match="range_r"):
+        size(bad, 0.5, 0.1)
+    with pytest.raises(ValueError, match="epsilon"):
+        size(1.0, bad, 0.1)
+    with pytest.raises(ValueError, match="delta"):
+        size(1.0, 0.5, bad)
+
+
 class TestEstimate:
     def test_additive_is_exact_with_one_permutation(self):
         g = make_additive_game((1.0, 2.0, 3.0))
@@ -63,6 +88,10 @@ class TestEstimate:
     def test_zero_permutations_rejected(self):
         with pytest.raises(ValueError):
             PermutationBudget(0)
+        for count in (2.5, 3.0, True, "4"):
+            with pytest.raises(ValueError, match="t_permutations"):
+                PermutationBudget(count)
+        assert PermutationBudget(np.int64(3)).t_permutations == 3
 
     def test_glove_within_l2_guarantee(self):
         g = make_glove_game()
