@@ -183,6 +183,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{kind} games need {_FLAGS[name]}")
         if self.range_r is not None and not 0 < self.range_r < math.inf:
             raise ConfigError(f"--range must be positive and finite, got {self.range_r!r}")
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
+            raise ConfigError(f"--epsilon must be positive and finite, got {self.epsilon!r}")
+        if self.delta is not None and not 0 < self.delta < 1:
+            raise ConfigError(f"--delta must lie in (0, 1), got {self.delta!r}")
         if self.threads is not None and self.threads < 1:
             raise ConfigError(f"--threads must be positive, got {self.threads}")
 
@@ -317,7 +321,7 @@ def run_experiment(config: ExperimentConfig) -> ResultRecord:
         linf_err = float(np.max(np.abs(diff)))
     wall = time.perf_counter() - start
     return ResultRecord(
-        values=tuple(float(v) for v in vv.values),
+        values=vv.values.tolist(),
         method=config.method,
         n_players=len(vv),
         seed=config.seed,

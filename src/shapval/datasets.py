@@ -9,7 +9,9 @@ opaque strings compared for equality only.
 from __future__ import annotations
 
 import csv
+from itertools import chain
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -19,12 +21,14 @@ __all__ = ["load_labeled_csv", "signed_labels"]
 
 
 def load_labeled_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read (features, labels) from a CSV file; may raise OSError."""
-    rows: list[list[str]] = []
+    """Read (features, labels) from a CSV file; may raise OSError.
+
+    Feature cells are parsed by ``float()``, which ignores surrounding
+    whitespace; labels are stripped.  Rows are numbered from 1 among the
+    non-blank rows, header included.
+    """
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row and any(cell.strip() for cell in row):
-                rows.append([cell.strip() for cell in row])
+        rows = [row for row in csv.reader(fh) if "".join(row).strip()]
     if not rows:
         raise ConfigError(f"dataset {path} is empty")
     start = 0
@@ -38,17 +42,27 @@ def load_labeled_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     width = len(data[0])
     if width < 2:
         raise ConfigError(f"dataset {path} needs at least one feature and a label")
-    features = np.empty((len(data), width - 1), dtype=np.float64)
-    labels = np.empty(len(data), dtype=object)
-    for i, row in enumerate(data):
+    if any(len(row) != width for row in data):
+        _raise_first_bad_row(path, data, start, width)
+    cells = chain.from_iterable(row[:-1] for row in data)
+    try:
+        features = np.fromiter(map(float, cells), np.float64, len(data) * (width - 1))
+    except ValueError:
+        _raise_first_bad_row(path, data, start, width)
+    labels = np.array([row[-1].strip() for row in data], dtype=object)
+    return features.reshape(len(data), width - 1), labels
+
+
+def _raise_first_bad_row(path: str | Path, data: list[list[str]], start: int, width: int) -> NoReturn:
+    """Raise for the first row that is ragged or has a non-numeric feature."""
+    for number, row in enumerate(data, start + 1):
         if len(row) != width:
-            raise ConfigError(f"dataset {path}: row {i + start + 1} has {len(row)} cells, expected {width}")
+            raise ConfigError(f"dataset {path}: row {number} has {len(row)} cells, expected {width}")
         try:
-            features[i] = [float(cell) for cell in row[:-1]]
+            [float(cell) for cell in row[:-1]]
         except ValueError as exc:
-            raise ConfigError(f"dataset {path}: non-numeric feature in row {i + start + 1}") from exc
-        labels[i] = row[-1]
-    return features, labels
+            raise ConfigError(f"dataset {path}: non-numeric feature in row {number}") from exc
+    raise AssertionError("no bad row")
 
 
 def signed_labels(labels: np.ndarray) -> np.ndarray:

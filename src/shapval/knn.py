@@ -7,6 +7,13 @@ count of members is at most K, so a block of coalitions is scored with
 one ``cumsum`` per test point.  For this utility the Shapley values
 admit an exact closed form computed in one sweep from the farthest
 point to the nearest, after an O(N log N) sort.
+
+The sort orders training points by distance to the test point, ties by
+ascending index.  Distances are sorted with numpy's default (unstable)
+``argsort``; only when the sorted distances hold an exact adjacent tie
+or a NaN (NaNs sort last) is the sort redone with ``kind="stable"``.
+With distinct finite distances every correct sort gives the same
+permutation, so ``order`` always equals the stable argsort.
 """
 
 from __future__ import annotations
@@ -68,7 +75,11 @@ class KnnInstance:
             dist = np.einsum("ij,ij->i", diff, diff)
         else:
             dist = np.abs(diff).sum(axis=1)
-        self.order = np.argsort(dist, kind="stable")
+        order = np.argsort(dist)
+        near = dist[order]
+        if np.isnan(near[-1]) or np.any(near[1:] == near[:-1]):
+            order = np.argsort(dist, kind="stable")
+        self.order = order
         # label-match indicators in distance order
         self.matches = (self.labels[self.order] == self.test_label).astype(np.float64)
 
@@ -144,11 +155,12 @@ def _check_shared_training(instances: Sequence[KnnInstance]) -> None:
         raise ValueError("need at least one instance")
     first = instances[0]
     for inst in instances[1:]:
-        if inst.points.shape != first.points.shape or not np.array_equal(
-            inst.points, first.points
+        # the CLI's instances hold the very same arrays; compare contents otherwise
+        if inst.points is not first.points and not np.array_equal(
+            inst.points, first.points, equal_nan=True
         ):
             raise ValueError("instances must share the same training points")
-        if not np.array_equal(inst.labels, first.labels):
+        if inst.labels is not first.labels and not np.array_equal(inst.labels, first.labels):
             raise ValueError("instances must share the same training labels")
         if inst.k_neighbors != first.k_neighbors:
             raise ValueError("instances must share the same neighborhood size")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +70,7 @@ def _csv_text(record: ResultRecord) -> str:
 
 
 def _json_payload(record: ResultRecord, include_values: bool) -> dict:
-    payload = asdict(record)
+    payload = {f.name: getattr(record, f.name) for f in fields(record)}
     payload["flags"] = list(record.flags)
     if include_values:
         payload["values"] = list(record.values)

@@ -13,6 +13,7 @@ from shapval.cli import (
     EXIT_SIZE_GUARD,
     EXIT_UNKNOWN_METHOD,
     EXIT_UNREADABLE,
+    METHODS,
     ExperimentConfig,
     main,
     run_experiment,
@@ -408,6 +409,27 @@ class TestRejectedInputs:
         argv = ["perm", "--game", "glove", "--permutations", "3"]
         assert main(argv) == EXIT_BAD_CONFIG
         assert "SHAPVAL_THREADS" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", METHODS)
+    def test_epsilon_and_delta_out_of_range(self, command, tmp_path, capsys):
+        train, test = write_knn_files(tmp_path)
+        dataset = ["--train", str(train), "--test", str(test)]
+        argv = {
+            "knn": ["knn", *dataset, "--k", "1"],
+            "loo-influence": ["loo-influence", *dataset],
+            "compressive": ["compressive", "--game", "glove", "--measurements", "2"],
+            "sweep": ["sweep", "--method", "perm", "--game", "glove", "--budgets", "3"],
+        }.get(command, [command, "--game", "glove"])
+        # each bad value comes with a valid partner, so only the range check can reject it
+        bad = [("epsilon", v, ["--delta", "0.2"]) for v in ("0", "-1", "inf", "nan")]
+        bad += [("delta", v, ["--epsilon", "0.5"]) for v in ("0", "1", "-0.5", "nan")]
+        cfg = tmp_path / "c.cfg"
+        for key, value, partner in bad:
+            assert main([*argv, *partner, f"--{key}", value]) == EXIT_BAD_CONFIG
+            assert f"--{key} must" in one_line_error(capsys)
+            cfg.write_text(f"{key} = {value}\n")
+            assert main([*argv, *partner, "--config", str(cfg)]) == EXIT_BAD_CONFIG
+            assert f"--{key} must" in one_line_error(capsys)
 
     def test_bad_list_flag_is_a_config_error(self, capsys):
         assert main(["exact", "--game", "additive", "--weights", "1,x"]) == EXIT_BAD_CONFIG

@@ -134,6 +134,60 @@ class TestRecursion:
         assert list(inst.order) == [1, 0]  # |0|+|1.5| < |1|+|1|
 
 
+def stable_order(points, test_point, distance):
+    diff = points - test_point
+    if distance == "euclidean":
+        dist = np.einsum("ij,ij->i", diff, diff)
+    else:
+        dist = np.abs(diff).sum(axis=1)
+    return np.argsort(dist, kind="stable")
+
+
+def sort_cases():
+    g = np.random.default_rng(44)
+    grid = g.integers(-3, 4, size=(400, 3)).astype(float)
+    dup = np.repeat(g.normal(size=(50, 4)), 6, axis=0)[g.permutation(300)]
+    special = g.normal(size=(60, 2))
+    special[[3, 17, 40], 0] = np.nan
+    special[[5, 22], 1] = np.inf
+    special[[9, 30], 0] = -np.inf
+    special[[11, 50]] = np.nan
+    yield "integer-grid", grid, grid[7] + 0.0
+    yield "integer-grid-off-grid-test", grid, np.array([0.5, -1.0, 2.0])
+    yield "duplicated", dup, dup[0].copy()
+    yield "duplicated-elsewhere", dup, g.normal(size=4)
+    yield "distinct", g.normal(size=(500, 3)), g.normal(size=3)
+    yield "nan-and-inf", special, np.zeros(2)
+    yield "nan-only", np.where(np.arange(80)[:, None] % 9 == 0, np.nan, g.normal(size=(80, 2))), np.ones(2)
+    yield "inf-test-point", special, np.array([np.inf, 0.0])
+
+
+class TestSortOrder:
+    """``order`` is the stable argsort of the distances, also when the
+    default sort is taken: ties and NaNs must not change the permutation."""
+
+    @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("case", list(sort_cases()), ids=lambda c: c[0])
+    def test_order_is_the_stable_argsort(self, case, distance):
+        _, points, test_point = case
+        labels = np.arange(points.shape[0]) % 3
+        inst = KnnInstance(points, labels, test_point, 0, 2, distance)
+        expected = stable_order(points, test_point, distance)
+        assert np.array_equal(inst.order, expected)
+        assert np.array_equal(inst.matches, (labels[expected] == 0).astype(float))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.lists(st.integers(-2, 2), min_size=8, max_size=80),
+        distance=st.sampled_from(["euclidean", "manhattan"]),
+    )
+    def test_order_on_small_integer_grids(self, cells, distance):
+        points = np.array(cells[: len(cells) // 2 * 2], dtype=float).reshape(-1, 2)
+        test_point = points[-1] + 0.5 * (len(cells) % 2)
+        inst = KnnInstance(points, np.zeros(points.shape[0]), test_point, 0, 1, distance)
+        assert np.array_equal(inst.order, stable_order(points, test_point, distance))
+
+
 def grid_instances(rng, n, k, distance, n_test):
     """Instances on a small integer grid, where many distances tie."""
     points = rng.integers(0, 3, size=(n, 2)).astype(float)
@@ -237,6 +291,40 @@ class TestTestset:
         b = random_instance(rng, 5, 1)
         with pytest.raises(ValueError):
             knn_shapley_testset([a, b])
+
+    @pytest.mark.parametrize("build", [knn_shapley_testset, knn_game])
+    def test_same_shape_different_content_rejected(self, rng, build):
+        points = rng.normal(size=(6, 2))
+        labels = rng.integers(0, 2, size=6)
+        first = KnnInstance(points, labels, rng.normal(size=2), 1, 2)
+        moved = points.copy()
+        moved[4, 1] += 1e-12
+        relabelled = labels.copy()
+        relabelled[0] = 1 - relabelled[0]
+        with pytest.raises(ValueError, match="training points"):
+            build([first, KnnInstance(moved, labels, rng.normal(size=2), 1, 2)])
+        with pytest.raises(ValueError, match="training labels"):
+            build([first, KnnInstance(points, relabelled, rng.normal(size=2), 1, 2)])
+        with pytest.raises(ValueError, match="neighborhood size"):
+            build([first, KnnInstance(points, labels, rng.normal(size=2), 1, 3)])
+
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_equal_content_copies_accepted(self, rng, nan):
+        points = rng.normal(size=(6, 2))
+        if nan:
+            points[2, 0] = np.nan
+        labels = np.array(["a", "b", "a", "a", "b", "b"], dtype=object)
+        tests = rng.normal(size=(3, 2))
+        shared = [KnnInstance(points, labels, t, "a", 2) for t in tests]
+        copies = [KnnInstance(points.copy(), labels.copy(), t, "a", 2) for t in tests]
+        assert shared[1].points is shared[0].points and copies[1].points is not copies[0].points
+        assert np.array_equal(
+            knn_shapley_testset(copies).values, knn_shapley_testset(shared).values
+        )
+        masks = np.arange(1 << 6, dtype=np.int64)
+        assert np.array_equal(
+            knn_game(copies).values_of_masks(masks), knn_game(shared).values_of_masks(masks)
+        )
 
 
 class TestPascalIdentity:

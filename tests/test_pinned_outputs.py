@@ -1,19 +1,25 @@
 """Outputs pinned by SHA-256 digest at fixed seeds.
 
 Permutation sampling, compressive sampling, the baseline player's direct
-estimate and the utilities decoded from masks by ``games._membership``
-are pinned, so a change to the shared sampling or mask code that moves
-any of them, even in the last bit, fails here.  Group-test values are not
+estimate, the utilities decoded from masks by ``games._membership`` and
+the values CSV of ``shapval knn`` are pinned, so a change to the shared
+sampling, mask, sort, loading or writing code that moves any of them,
+even in the last bit, fails here.  Group-test values are not
 pinned; their draw is tested for uniformity in test_group_testing.py.
 Recorded with numpy 2.4 on x86-64; a different BLAS may round the
 additive and KNN sums differently.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shapval
 from shapval import (
     PermutationBudget,
     estimate_compressive,
@@ -21,6 +27,7 @@ from shapval import (
     make_additive_game,
     make_voting_game,
 )
+from shapval.cli import EXIT_OK, main
 from shapval.group_testing import _baseline_player_value
 from shapval.knn import KnnInstance, knn_game
 
@@ -73,3 +80,64 @@ def test_decoded_utilities(games):
     assert digest(voting.values_of_masks(masks)) == (
         "7b52bbb4b46694d4f40b71e4c89e00e44e49e04a738ff90b6d6043e7fc4e414c"
     )
+
+
+def write_rows(path, x, y):
+    # repr of a Python float round-trips exactly
+    path.write_text("".join(",".join(map(repr, row)) + f",{lab}\n" for row, lab in zip(x.tolist(), y)))
+    return path
+
+
+def knn_dataset(tmp_path, x, y, xt, yt):
+    return write_rows(tmp_path / "train.csv", x, y), write_rows(tmp_path / "test.csv", xt, yt)
+
+
+def knn_argv(train, test, k, out):
+    return ["knn", "--train", str(train), "--test", str(test), "--k", str(k), "--output", str(out)]
+
+
+def knn_values_csv(train, test, k, out):
+    assert main(knn_argv(train, test, k, out)) == EXIT_OK
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kind, sha",
+    [
+        ("continuous", "422c0e3c2932a0cab084e663d88e6cd5e5ca3292b8a51ca62887dd6eb4a8eb0f"),
+        ("integer-ties", "ccdb6e230a42d25e9c307b7e1fe13c9830e9fc1e740cb48fbd017e1c0e8fd959"),
+    ],
+)
+def test_knn_cli_values_csv(tmp_path, capsys, kind, sha):
+    g = np.random.default_rng(1019)
+    if kind == "continuous":
+        x, xt = g.normal(size=(2000, 8)), g.normal(size=(40, 8))
+        k = 5
+    else:
+        # few distinct points: duplicated rows and tied distances everywhere
+        x, xt = g.integers(-2, 3, size=(600, 3)), g.integers(-2, 3, size=(40, 3))
+        k = 7
+    y, yt = g.integers(0, 3, x.shape[0]), g.integers(0, 3, xt.shape[0])
+    train, test = knn_dataset(tmp_path, x, y, xt, yt)
+    raw = knn_values_csv(train, test, k, tmp_path / "values.csv")
+    assert hashlib.sha256(raw).hexdigest() == sha
+
+
+def test_knn_cli_subprocess_writes_the_in_process_bytes(tmp_path, capsys):
+    g = np.random.default_rng(7)
+    train, test = knn_dataset(
+        tmp_path, g.normal(size=(30, 2)), g.integers(0, 2, 30), g.normal(size=(4, 2)), g.integers(0, 2, 4)
+    )
+    in_process = knn_values_csv(train, test, 3, tmp_path / "main.csv")
+    out = tmp_path / "child.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(shapval.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    ))
+    result = subprocess.run(
+        [sys.executable, "-m", "shapval.cli", *knn_argv(train, test, 3, out)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert out.read_bytes() == in_process
