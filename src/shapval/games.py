@@ -1,7 +1,8 @@
 """Cooperative games and exact Shapley value computation.
 
 A game is a set of N players (data points) together with a bounded
-utility function over player subsets, given as int64 bit masks.  This
+utility function over player subsets, given as int64 bit masks; a game
+may also score every prefix of a block of player orderings at once.  This
 module provides the game abstraction, exact Shapley oracles (subset form
 and permutation form), exact pairwise value differences, and the
 synthetic games used as ground truth by the estimators' tests.
@@ -86,6 +87,17 @@ class Game:
     always holds.  Values outside [0, range_r] raise UtilityRangeError
     rather than being clamped: clamping would silently invalidate the
     concentration bounds built on the declared range.
+
+    The mask form is the one required form.  ``prefix_utility`` is an
+    optional second form of the same utility for the permutation
+    samplers: it maps an (R, N) integer block of orderings (each row a
+    permutation of range(N)) to the (R, N) raw utilities of each row's
+    first 1..N players, without building a coalition per prefix.  It
+    must agree with ``utility`` on those prefixes, bit for bit, and be
+    thread-safe; its values get the same checks, the same offset and the
+    same billing as the mask form's, and come back C-ordered whatever
+    layout it returns, since the samplers' sums over orderings are only
+    bit-identical on a C-ordered block.
     """
 
     def __init__(
@@ -97,6 +109,7 @@ class Game:
         monotone: bool = False,
         exact_values: np.ndarray | None = None,
         name: str = "",
+        prefix_utility: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
         if n_players < 1:
             raise ValueError("need at least one player")
@@ -113,6 +126,7 @@ class Game:
         self.name = name
         self.exact_values = None if exact_values is None else np.asarray(exact_values, float)
         self._utility = utility
+        self._prefix_utility = prefix_utility
         self._lock = threading.Lock()
         self._eval_count = 0
         self._range_tol = 1e-9 * max(1.0, self.range_r)
@@ -131,15 +145,32 @@ class Game:
 
     # -- evaluation ------------------------------------------------------
 
-    def _evaluate(self, masks: np.ndarray) -> np.ndarray:
-        """Raw utilities of in-range masks, one real value per mask."""
-        vals = np.asarray(self._utility(masks))
-        if vals.shape != masks.shape or vals.dtype.kind not in "biuf":
+    @staticmethod
+    def _real(vals, shape: tuple[int, ...], per: str) -> np.ndarray:
+        """``vals`` as float64; ShapvalError unless a real array of ``shape``."""
+        vals = np.asarray(vals)
+        if vals.shape != shape or vals.dtype.kind not in "biuf":
             raise ShapvalError(
-                f"the utility must return one real value per mask, an array of shape "
-                f"{masks.shape}; got {vals.dtype} of shape {vals.shape}"
+                f"the utility must return one real value per {per}, an array of shape "
+                f"{shape}; got {vals.dtype} of shape {vals.shape}"
             )
         return vals.astype(np.float64, copy=False)
+
+    def _evaluate(self, masks: np.ndarray) -> np.ndarray:
+        """Raw utilities of in-range masks, one real value per mask."""
+        return self._real(self._utility(masks), masks.shape, "mask")
+
+    def _check_and_bill(self, vals: np.ndarray) -> None:
+        """Range-check a nonempty array of offset utilities, then count them."""
+        lo, hi = vals.min(), vals.max()
+        # written so that a NaN fails it too
+        if not (lo >= -self._range_tol and hi <= self.range_r + self._range_tol):
+            raise UtilityRangeError(
+                f"utility value outside declared range [0, {self.range_r}]: "
+                f"saw [{lo}, {hi}]"
+            )
+        with self._lock:
+            self._eval_count += vals.size
 
     def value_of_mask(self, mask: int) -> float:
         return float(self.values_of_masks(np.array([mask], dtype=np.int64))[0])
@@ -163,21 +194,31 @@ class Game:
                 f"coalition masks must be a 1-D array of values in [0, 2^{self.n_players})"
             )
         nonzero = masks != 0
-        n_evals = int(nonzero.sum())
         out = np.zeros(masks.shape[0], dtype=np.float64)
-        if n_evals:
+        if nonzero.any():
             vals = self._evaluate(masks[nonzero]) - self._offset
-            lo, hi = vals.min(), vals.max()
-            # written so that a NaN fails it too
-            if not (lo >= -self._range_tol and hi <= self.range_r + self._range_tol):
-                raise UtilityRangeError(
-                    f"utility value outside declared range [0, {self.range_r}]: "
-                    f"saw [{lo}, {hi}]"
-                )
+            self._check_and_bill(vals)
             out[nonzero] = vals
-            with self._lock:
-                self._eval_count += n_evals
         return out
+
+    def _values_of_orderings(self, perms: np.ndarray) -> np.ndarray:
+        """(R, N) utilities of the first 1..N players of each row of ``perms``.
+
+        ``perms`` is an (R, N) block of orderings, each row a permutation of
+        range(N); the samplers draw them, so they are not checked.  Without a
+        prefix utility every prefix goes through :meth:`values_of_masks` as an
+        int64 mask.  Either way R * N evaluations are billed and the result is
+        C-ordered: the marginals inherit this layout, and summing an F-ordered
+        block over its orderings adds pairwise instead of in row order, which
+        moves the last bits of the estimate.
+        """
+        if self._prefix_utility is None:
+            prefixes = np.cumsum(1 << perms, axis=1)
+            return self.values_of_masks(prefixes.reshape(-1)).reshape(prefixes.shape)
+        vals = self._real(self._prefix_utility(perms), perms.shape, "prefix")
+        vals = np.ascontiguousarray(vals) - self._offset
+        self._check_and_bill(vals)
+        return vals
 
     # -- bookkeeping -----------------------------------------------------
 

@@ -57,7 +57,6 @@ class GroupTestPlan:
     z_norm: float
     q: np.ndarray
     q_tot: float
-    t_tests: int | None = None
 
     def __post_init__(self) -> None:
         if abs(float(self.q.sum()) - 1.0) > 1e-12:

@@ -8,6 +8,17 @@ one ``cumsum`` per test point.  For this utility the Shapley values
 admit an exact closed form computed in one sweep from the farthest
 point to the nearest, after an O(N log N) sort.
 
+The permutation samplers score every prefix of an ordering at once
+(``Game``'s prefix form) without a coalition per prefix.  Let A_j be
+the arrival time, in the ordering, of the j-th nearest training point.
+It counts from A_j until the K-th smallest arrival among the points
+closer than it; that running K-th smallest takes K passes of a running
+minimum over the distance axis.  A difference array over the arrival
+and exit times of the matching points, summed over time, gives every
+prefix's hit count.  The passes' cost grows with K and a membership
+block's does not, so ``knn_game`` uses the prefix form only when
+2K <= N and scores the prefixes as masks otherwise.
+
 The sort orders training points by distance to the test point, ties by
 ascending index.  Distances are sorted with numpy's default (unstable)
 ``argsort``; only when the sorted distances hold an exact adjacent tie
@@ -37,6 +48,9 @@ _METRICS = ("euclidean", "manhattan")
 # Rows per membership block: the (rows, N) temporaries stay a few hundred KB,
 # also when an exact oracle sends all 2^N masks in one batch.
 _BLOCK_ROWS = 512
+# Arrival times (training points x orderings x test points) per prefix block:
+# its intp temporaries stay about 1 MB each.
+_BLOCK_CELLS = 1 << 17
 
 
 @dataclass
@@ -100,15 +114,65 @@ def _match_fraction(instance: KnnInstance, member: np.ndarray) -> np.ndarray:
     return np.count_nonzero(hit, axis=1) / instance.k_neighbors
 
 
+def _running_min(x: np.ndarray) -> np.ndarray:
+    """Running minimum along axis 0, in place, in log2(len) whole-array steps.
+
+    ``np.minimum.accumulate`` steps along the axis one element at a time,
+    which measured several times slower on these short axes.
+    """
+    step = 1
+    while step < x.shape[0]:
+        np.minimum(x[step:], x[:-step], out=x[step:])
+        step *= 2
+    return x
+
+
+def _prefix_hits(arrive: np.ndarray, miss: np.ndarray, k: int) -> np.ndarray:
+    """(N, B, R) hit counts of every prefix, from (N, B, R) arrival times.
+
+    ``arrive[j, b, r]`` is the 0-based position in ordering r of test point
+    b's j-th nearest training point, ``miss`` (N, B) marks its label
+    misses.  Point j is among the K nearest arrived points from its arrival
+    until the K-th smallest arrival among points 0..j-1.  That time is the
+    sentinel N, past every prefix, while fewer than K of them have arrived.
+    """
+    n = arrive.shape[0]
+    # after pass p, kth[j] is the p-th smallest arrival among points 0..j:
+    # the smaller of the one for 0..j-1 and max(the (p-1)-th for 0..j-1, A_j)
+    kth = _running_min(arrive.copy())
+    closer = np.empty_like(arrive)
+    closer[0] = n
+    for _ in range(k - 1):
+        closer[1:] = kth[:-1]
+        _running_min(np.maximum(closer, arrive, out=kth))
+    closer[1:] = kth[:-1]
+    # a point whose K-th closer arrival precedes its own never counts
+    leave = np.maximum(closer, arrive, out=closer)
+    np.copyto(arrive, n, where=miss[:, :, None])
+    np.copyto(leave, n, where=miss[:, :, None])
+    cells = arrive[0].size
+    slot = np.arange(cells).reshape(arrive.shape[1:])
+    times = (n + 1) * cells
+    events = np.bincount((arrive.astype(np.intp) * cells + slot).ravel(), minlength=times)
+    events -= np.bincount((leave.astype(np.intp) * cells + slot).ravel(), minlength=times)
+    return np.cumsum(events[: n * cells].reshape(arrive.shape), axis=0)
+
+
 def knn_game(instances: KnnInstance | Sequence[KnnInstance]) -> Game:
     """Wrap one instance (or the mean utility over several) as a Game.
 
     Masks are scored in blocks of rows.  Per test point, a member counts
     while the ``cumsum`` of distance-ordered membership is at most K.
+    When 2K <= N the game also has the prefix form: blocks of orderings
+    are scored from arrival times, in blocks of test points, without a
+    membership block.  Both forms add hits / K over the test points in
+    test-point order and divide by the test-point count, so they agree
+    bit for bit.
     """
     seq = [instances] if isinstance(instances, KnnInstance) else list(instances)
     _check_shared_training(seq)
     n = seq[0].n_players
+    k = seq[0].k_neighbors
 
     def batch(masks: np.ndarray) -> np.ndarray:
         out = np.zeros(masks.shape[0], dtype=np.float64)
@@ -118,12 +182,31 @@ def knn_game(instances: KnnInstance | Sequence[KnnInstance]) -> Game:
                 out[lo : lo + _BLOCK_ROWS] += _match_fraction(inst, member)
         return out / len(seq)
 
+    orders = np.stack([inst.order for inst in seq], axis=1)  # (N, T)
+    misses = np.stack([inst.matches == 0 for inst in seq], axis=1)
+    positions = np.arange(n, dtype=np.min_scalar_type(n))[:, None]  # holds N too
+
+    def prefixes(perms: np.ndarray) -> np.ndarray:
+        rows = perms.shape[0]
+        # arrival[i, r]: position of training point i in ordering r
+        arrival = np.empty((n, rows), dtype=positions.dtype)
+        np.put_along_axis(arrival, perms.T, positions, axis=0)
+        out = np.zeros((n, rows), dtype=np.float64)
+        step = max(1, _BLOCK_CELLS // (n * rows))
+        for lo in range(0, len(seq), step):
+            hits = _prefix_hits(arrival[orders[:, lo : lo + step]], misses[:, lo : lo + step], k)
+            frac = hits / k
+            for b in range(frac.shape[1]):
+                out += frac[:, b]
+        return out.T / len(seq)
+
     return Game(
         n,
         batch,
         range_r=1.0,
         monotone=False,
         name="knn",
+        prefix_utility=prefixes if 2 * k <= n else None,
     )
 
 

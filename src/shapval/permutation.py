@@ -1,9 +1,9 @@
 """Monte Carlo Shapley estimation by sampling player orderings.
 
 Each sampled ordering credits every player with its marginal
-contribution to the set of preceding players.  Prefix utilities are
-cached within an ordering, so one ordering costs exactly N utility
-evaluations (the empty prefix is free).
+contribution to the set of preceding players.  A chunk's orderings are
+scored prefix by prefix in one call to the game, so one ordering costs
+exactly N utility evaluations (the empty prefix is free).
 """
 
 from __future__ import annotations
@@ -99,8 +99,7 @@ def marginal_chunk(game: Game, seed: int, tag: str, chunk_index: int, count: int
     order in which chunks run.
     """
     perms = sample_orderings(seed, tag, chunk_index, count, game.n_players)
-    prefixes = np.cumsum(1 << perms, axis=1)
-    vals = game.values_of_masks(prefixes.reshape(-1)).reshape(prefixes.shape)
+    vals = game._values_of_orderings(perms)
     marginals = np.concatenate([vals[:, :1], np.diff(vals, axis=1)], axis=1)
     phi = np.empty_like(marginals)
     np.put_along_axis(phi, perms, marginals, axis=1)

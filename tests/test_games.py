@@ -119,6 +119,68 @@ class TestGame:
             Game(100, lambda m: np.zeros(len(m)), range_r=1.0)
 
 
+class TestPrefixUtility:
+    """The optional prefix form gets the mask form's checks, offset and billing."""
+
+    perms = np.array([[0, 1, 2, 3], [3, 1, 0, 2], [2, 0, 3, 1]])
+
+    @staticmethod
+    def game(prefix, offset=0.0):
+        # worth |S| / 4 plus an empty-coalition offset, in mask and prefix form
+        return Game(4, lambda m: offset + sizes(m) / 4, range_r=1.0, prefix_utility=prefix)
+
+    @staticmethod
+    def by_size(perms, offset=0.0):
+        return offset + np.broadcast_to(np.arange(1, 5) / 4, perms.shape)
+
+    @pytest.mark.parametrize("offset", [0.0, 5.0])
+    def test_same_values_as_mask_form(self, offset):
+        # an F-ordered prefix result still comes back C-ordered
+        prefix = self.game(lambda p: np.asfortranarray(self.by_size(p, offset)), offset)
+        masks = self.game(None, offset)
+        got = prefix._values_of_orderings(self.perms)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == masks._values_of_orderings(self.perms).tobytes()
+        assert np.array_equal(got, self.by_size(self.perms))
+
+    def test_eval_count_grows_by_rows_times_players(self):
+        g = self.game(self.by_size)
+        g._values_of_orderings(self.perms)
+        assert g.eval_count == self.perms.size
+        g._values_of_orderings(self.perms[:1])
+        assert g.eval_count == self.perms.size + 4
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda p: 0.5,
+            lambda p: np.full(p.shape[0], 0.5),
+            lambda p: np.full(p.shape[::-1], 0.5),
+            lambda p: np.full((*p.shape, 1), 0.5),
+            lambda p: np.full(p.shape, "0.5"),
+            lambda p: np.full(p.shape, 0.5 + 0j),
+        ],
+        ids=["scalar", "1-D", "transposed", "3-D", "text", "complex"],
+    )
+    def test_wrong_shape_or_dtype_raises(self, bad):
+        g = self.game(bad)
+        with pytest.raises(ShapvalError, match="one real value per prefix"):
+            g._values_of_orderings(self.perms)
+        assert g.eval_count == 0
+
+    @pytest.mark.parametrize("value", [np.nan, 1.5, -0.25])
+    def test_nan_or_out_of_range_raises(self, value):
+        def prefix(p):
+            vals = self.by_size(p).copy()
+            vals[1, 2] = value
+            return vals
+
+        g = self.game(prefix)
+        with pytest.raises(UtilityRangeError):
+            g._values_of_orderings(self.perms)
+        assert g.eval_count == 0
+
+
 class TestMembership:
     @pytest.mark.parametrize("n", [1, 3, 40, 63])
     def test_matches_shift_and_mask(self, n):

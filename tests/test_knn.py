@@ -17,6 +17,9 @@ from shapval import (
     knn_shapley_testset,
 )
 
+from shapval.parallel import chunk_ranges, ordered_chunk_map
+from shapval.permutation import sample_orderings
+
 from conftest import knn_loop_game, pascal_identity_lhs
 
 
@@ -262,6 +265,45 @@ class TestVectorizedUtility:
             tracemalloc.stop()
         # one (2^N, N) float64 temporary alone would take this much
         assert peak < masks.size * n * 8
+
+
+def prefix_case(n, k, n_test, labels):
+    """Instances on rounded Gaussian features (tie-heavy) with one NaN training row."""
+    g = np.random.default_rng([n, k, n_test])
+    points = np.round(g.normal(size=(n, 2)))
+    points[g.integers(n)] = np.nan
+    tests = np.round(g.normal(size=(n_test, 2)))
+    y, yt = g.integers(0, 3, n), g.integers(0, 3, n_test)
+    if labels == "str":
+        names = np.array(["a", "b", "c"])
+        y, yt = names[y], names[yt]
+    return [KnnInstance(points, y, t, label, k) for t, label in zip(tests, yt)]
+
+
+# K = N - 1 (N > 2) takes the mask form; the others take the prefix form
+PREFIX_N_K = [(n, k) for n in (2, 3, 16, 40, 63) for k in sorted({1, 2, n // 2, n - 1}) if k < n]
+
+
+class TestPrefixForm:
+    """Prefix utilities of orderings against the mask form on the same prefixes."""
+
+    @pytest.mark.parametrize("labels", ["int", "str"])
+    @pytest.mark.parametrize("n_test", [1, 3, 20])
+    @pytest.mark.parametrize("n, k", PREFIX_N_K)
+    def test_orderings_match_prefix_masks_bytewise(self, n, k, n_test, labels):
+        game = knn_game(prefix_case(n, k, n_test, labels))
+        assert (game._prefix_utility is not None) == (2 * k <= n)
+
+        def chunk(i, lo, hi):
+            perms = sample_orderings(9, "perm", i, hi - lo, n)
+            masks = np.cumsum(1 << perms, axis=1)
+            expected = game.values_of_masks(masks.ravel()).reshape(masks.shape)
+            return game._values_of_orderings(perms), expected
+
+        for threads in (1, 2):
+            for got, expected in ordered_chunk_map(chunk, chunk_ranges(70, 25), threads):
+                assert got.flags.c_contiguous
+                assert got.tobytes() == expected.tobytes()
 
 
 class TestTestset:

@@ -1,8 +1,9 @@
 """Outputs pinned by SHA-256 digest at fixed seeds.
 
-Permutation sampling, compressive sampling, the baseline player's direct
-estimate, the utilities decoded from masks by ``games._membership`` and
-the values CSV of ``shapval knn`` are pinned, so a change to the shared
+Permutation sampling (also on a tie-heavy KNN game), compressive
+sampling (also on a KNN game), the baseline player's direct estimate,
+the utilities decoded from masks by ``games._membership`` and the
+values CSV of ``shapval knn`` are pinned, so a change to the shared
 sampling, mask, sort, loading or writing code that moves any of them,
 even in the last bit, fails here.  Group-test values are not
 pinned; their draw is tested for uniformity in test_group_testing.py.
@@ -63,6 +64,24 @@ def test_compressive_sampling(games):
     assert digest(estimate_compressive(additive, 20, 600, 0.05, seed=5).values) == (
         "4e76e3d13b2ec4b0aecdd91e1dad777d56ef5a0d66cb0bf99e905831b8679fa7"
     )
+
+
+def test_compressive_sampling_knn(games):
+    knn = games[1]
+    assert digest(estimate_compressive(knn, 20, 600, 0.05, seed=5).values) == (
+        "1e32cffdef0796e9df5cc4ab5ab05a7dc6ce181ce2a95f4df4eb974f6e7d72b3"
+    )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_permutation_sampling_knn_ties(threads):
+    # integer grid: tied distances everywhere; K = 1 and three chunks of orderings
+    g = np.random.default_rng(1111)
+    x, y = g.integers(-1, 2, size=(30, 2)), g.integers(0, 3, 30)
+    xt, yt = g.integers(-1, 2, size=(6, 2)), g.integers(0, 3, 6)
+    ties = knn_game([KnnInstance(x, y, xt[i], yt[i], 1) for i in range(6)])
+    vv = estimate_permutation(ties, PermutationBudget(700), seed=8, threads=threads)
+    assert digest(vv.values) == "4da2980499c622f8c9ce565b28e8be939d0662fca96c1b3e06e511101215a4ac"
 
 
 def test_baseline_player_estimate(games):
