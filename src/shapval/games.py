@@ -205,13 +205,16 @@ class Game:
         """(R, N) utilities of the first 1..N players of each row of ``perms``.
 
         ``perms`` is an (R, N) block of orderings, each row a permutation of
-        range(N); the samplers draw them, so they are not checked.  Without a
+        range(N); the samplers draw them, so they are not checked.  An empty
+        block costs nothing, as an empty mask array does.  Without a
         prefix utility every prefix goes through :meth:`values_of_masks` as an
         int64 mask.  Either way R * N evaluations are billed and the result is
         C-ordered: the marginals inherit this layout, and summing an F-ordered
         block over its orderings adds pairwise instead of in row order, which
         moves the last bits of the estimate.
         """
+        if perms.size == 0:
+            return np.zeros(perms.shape, dtype=np.float64)
         if self._prefix_utility is None:
             prefixes = np.cumsum(1 << perms, axis=1)
             return self.values_of_masks(prefixes.reshape(-1)).reshape(prefixes.shape)

@@ -15,9 +15,8 @@ It counts from A_j until the K-th smallest arrival among the points
 closer than it; that running K-th smallest takes K passes of a running
 minimum over the distance axis.  A difference array over the arrival
 and exit times of the matching points, summed over time, gives every
-prefix's hit count.  The passes' cost grows with K and a membership
-block's does not, so ``knn_game`` uses the prefix form only when
-2K <= N and scores the prefixes as masks otherwise.
+prefix's hit count.  Group tests and the exact oracles still score
+coalitions as masks, the one form every game has.
 
 The sort orders training points by distance to the test point, ties by
 ascending index.  Distances are sorted with numpy's default (unstable)
@@ -163,9 +162,9 @@ def knn_game(instances: KnnInstance | Sequence[KnnInstance]) -> Game:
 
     Masks are scored in blocks of rows.  Per test point, a member counts
     while the ``cumsum`` of distance-ordered membership is at most K.
-    When 2K <= N the game also has the prefix form: blocks of orderings
-    are scored from arrival times, in blocks of test points, without a
-    membership block.  Both forms add hits / K over the test points in
+    The game also has the prefix form: blocks of orderings are scored
+    from arrival times, in blocks of test points, without a membership
+    block.  Both forms add hits / K over the test points in
     test-point order and divide by the test-point count, so they agree
     bit for bit.
     """
@@ -200,14 +199,7 @@ def knn_game(instances: KnnInstance | Sequence[KnnInstance]) -> Game:
                 out += frac[:, b]
         return out.T / len(seq)
 
-    return Game(
-        n,
-        batch,
-        range_r=1.0,
-        monotone=False,
-        name="knn",
-        prefix_utility=prefixes if 2 * k <= n else None,
-    )
+    return Game(n, batch, range_r=1.0, monotone=False, name="knn", prefix_utility=prefixes)
 
 
 def knn_shapley_exact(instance: KnnInstance) -> ValueVector:

@@ -150,6 +150,14 @@ class TestPrefixUtility:
         g._values_of_orderings(self.perms[:1])
         assert g.eval_count == self.perms.size + 4
 
+    @pytest.mark.parametrize("prefix", [None, "prefix"])
+    def test_empty_block_costs_nothing(self, prefix):
+        # the prefix utility, like the mask utility, is never called on no rows
+        g = self.game(None if prefix is None else self.by_size)
+        got = g._values_of_orderings(self.perms[:0])
+        assert got.shape == (0, 4) and got.dtype == np.float64
+        assert g.eval_count == 0
+
     @pytest.mark.parametrize(
         "bad",
         [

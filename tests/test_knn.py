@@ -18,7 +18,7 @@ from shapval import (
 )
 
 from shapval.parallel import chunk_ranges, ordered_chunk_map
-from shapval.permutation import sample_orderings
+from shapval.permutation import marginal_chunk, sample_orderings
 
 from conftest import knn_loop_game, pascal_identity_lhs
 
@@ -280,7 +280,6 @@ def prefix_case(n, k, n_test, labels):
     return [KnnInstance(points, y, t, label, k) for t, label in zip(tests, yt)]
 
 
-# K = N - 1 (N > 2) takes the mask form; the others take the prefix form
 PREFIX_N_K = [(n, k) for n in (2, 3, 16, 40, 63) for k in sorted({1, 2, n // 2, n - 1}) if k < n]
 
 
@@ -292,7 +291,7 @@ class TestPrefixForm:
     @pytest.mark.parametrize("n, k", PREFIX_N_K)
     def test_orderings_match_prefix_masks_bytewise(self, n, k, n_test, labels):
         game = knn_game(prefix_case(n, k, n_test, labels))
-        assert (game._prefix_utility is not None) == (2 * k <= n)
+        assert game._prefix_utility is not None
 
         def chunk(i, lo, hi):
             perms = sample_orderings(9, "perm", i, hi - lo, n)
@@ -304,6 +303,13 @@ class TestPrefixForm:
             for got, expected in ordered_chunk_map(chunk, chunk_ranges(70, 25), threads):
                 assert got.flags.c_contiguous
                 assert got.tobytes() == expected.tobytes()
+
+
+    def test_empty_chunk(self):
+        game = knn_game(prefix_case(40, 5, 3, "int"))
+        phi = marginal_chunk(game, 9, "perm", 0, 0)
+        assert phi.shape == (0, 40)
+        assert game.eval_count == 0
 
 
 class TestTestset:
