@@ -226,7 +226,6 @@ def estimate_compressive(
     The recovery guarantee assumes a monotone utility; for games not
     declared monotone the estimate is still computed but flagged.
     """
-    before = game.eval_count
     a = sample_bernoulli_matrix(m_rows, game.n_players, seed)
     state = compressive_sample(game, a, t_permutations, seed, threads=threads)
     residual = state.y_bar - state.s_bar * (a.entries @ np.ones(game.n_players))
@@ -234,7 +233,7 @@ def estimate_compressive(
     return ValueVector(
         state.s_bar + correction,
         method="compressive",
-        eval_count=game.eval_count - before,
+        eval_count=int(t_permutations) * game.n_players,
         seed=seed,
         epsilon=epsilon,
         flags=() if game.monotone else ("uncertified-nonmonotone",),

@@ -81,12 +81,13 @@ class Game:
     ``utility`` maps a one-dimensional int64 array of coalition bit masks
     (bit i set when player i is a member) to an array of one real value
     per mask.  It must be pure (same coalition, same value) and safe to
-    call from several threads at once.  If the utility assigns a nonzero
-    value to the empty coalition, that value is measured once at
-    construction and subtracted from every evaluation, so U(empty) = 0
-    always holds.  Values outside [0, range_r] raise UtilityRangeError
-    rather than being clamped: clamping would silently invalidate the
-    concentration bounds built on the declared range.
+    call from several threads at once.  It may be handed the caller's own
+    mask array rather than a copy, so it must not write to it.  If the
+    utility assigns a nonzero value to the empty coalition, that value is
+    measured once at construction and subtracted from every evaluation, so
+    U(empty) = 0 always holds.  Values outside [0, range_r] raise
+    UtilityRangeError rather than being clamped: clamping would silently
+    invalidate the concentration bounds built on the declared range.
 
     The mask form is the one required form.  ``prefix_utility`` is an
     optional second form of the same utility for the permutation
@@ -180,7 +181,7 @@ class Game:
 
         Empty coalitions are worth 0 by identity and are not counted as
         evaluations.  Any other input raises ``ShapvalError`` before
-        anything is evaluated.
+        anything is evaluated.  The result is a new float64 array.
         """
         try:
             masks = np.asarray(masks, dtype=np.int64)
@@ -193,12 +194,17 @@ class Game:
             raise ShapvalError(
                 f"coalition masks must be a 1-D array of values in [0, 2^{self.n_players})"
             )
-        nonzero = masks != 0
+        count = np.count_nonzero(masks)
+        if count == 0:
+            return np.zeros(masks.shape[0], dtype=np.float64)
+        full = count == masks.shape[0]
+        nonzero = None if full else masks != 0
+        vals = self._evaluate(masks if full else masks[nonzero]) - self._offset
+        self._check_and_bill(vals)
+        if full:  # no empty coalition: the batch was evaluated as given
+            return vals
         out = np.zeros(masks.shape[0], dtype=np.float64)
-        if nonzero.any():
-            vals = self._evaluate(masks[nonzero]) - self._offset
-            self._check_and_bill(vals)
-            out[nonzero] = vals
+        out[nonzero] = vals
         return out
 
     def _values_of_orderings(self, perms: np.ndarray) -> np.ndarray:

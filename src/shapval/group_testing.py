@@ -269,25 +269,29 @@ def optimize_split_constants(
     )
 
 
-def _baseline_player_value(game: Game, t_orderings: int, seed: int, threads: int) -> float:
-    """Direct estimate of player 0's value from sampled orderings.
+def _baseline_player_value(
+    game: Game, t_orderings: int, seed: int, threads: int
+) -> tuple[float, int]:
+    """Direct estimate of player 0's value from sampled orderings, and the
+    utility evaluations it took.
 
     Only the two prefixes around player 0 are evaluated, so one ordering
-    costs at most two utility evaluations.
+    costs two utility evaluations, or one when player 0 comes first.
     """
     n = game.n_players
 
-    def chunk_sum(i: int, lo: int, hi: int) -> np.ndarray:
+    def chunk_sum(i: int, lo: int, hi: int) -> tuple[np.ndarray, int]:
         perms = sample_orderings(seed, "baseline-perm", i, hi - lo, n)
         prefixes = np.cumsum(1 << perms, axis=1)
         pos = np.argmax(perms == 0, axis=1)
         with_mask = prefixes[np.arange(hi - lo), pos]
         before_mask = with_mask - 1  # player 0 carries bit value 1
         gain = game.values_of_masks(with_mask) - game.values_of_masks(before_mask)
-        return gain.sum()
+        return gain.sum(), hi - lo + int(np.count_nonzero(before_mask))
 
     parts = ordered_chunk_map(chunk_sum, chunk_ranges(t_orderings, ORDERING_CHUNK), threads)
-    return float(ordered_sum(parts)) / t_orderings
+    total = ordered_sum([gain for gain, _ in parts])
+    return float(total) / t_orderings, sum(evals for _, evals in parts)
 
 
 def estimate_group_testing(
@@ -316,7 +320,6 @@ def estimate_group_testing(
     """
     workers = resolve_threads(threads)
     plan = build_plan(game.n_players)
-    before = game.eval_count
     if recovery == "feasibility":
         t = t_tests if t_tests is not None else required_tests(
             game.n_players, epsilon, delta, game.range_r
@@ -325,7 +328,7 @@ def estimate_group_testing(
         return ValueVector(
             potentials + (game.u_total - potentials.sum()) / game.n_players,
             method="group-test-feasibility",
-            eval_count=game.eval_count - before,
+            eval_count=int(t),
             seed=seed,
             epsilon=epsilon,
             delta=delta,
@@ -335,12 +338,12 @@ def estimate_group_testing(
         t1 = t_tests if t_tests is not None else split.m1
         _, _, potentials = run_tests(game, plan, t1, seed, threads=workers)
         orderings = max(1, math.ceil(split.m2 / 2))
-        s_star = _baseline_player_value(game, orderings, seed, workers)
+        s_star, baseline_evals = _baseline_player_value(game, orderings, seed, workers)
         values = s_star + (potentials - potentials[0])
         return ValueVector(
             values,
             method="group-test-baseline",
-            eval_count=game.eval_count - before,
+            eval_count=int(t1) + baseline_evals,
             seed=seed,
             epsilon=epsilon,
             delta=delta,

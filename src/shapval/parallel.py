@@ -27,12 +27,15 @@ THREADS_ENV = "SHAPVAL_THREADS"
 def resolve_threads(requested: int | None = None) -> int:
     """Worker count: explicit request capped by the SHAPVAL_THREADS env var.
 
-    ``None`` is no request; an explicit request must be at least 1.  A set
-    but empty variable is no cap; any other value must be a positive
-    integer.  Either violation raises ``ConfigError``.
+    ``None`` is no request; an explicit request must be an integer of at
+    least 1 (a bool is not one).  A set but empty variable is no cap; any
+    other value must be a positive integer.  Either violation raises
+    ``ConfigError``.
     """
-    if requested is not None and requested < 1:
-        raise ConfigError(f"worker count must be at least 1, got {requested!r}")
+    if requested is not None and (
+        isinstance(requested, bool) or not isinstance(requested, numbers.Integral) or requested < 1
+    ):
+        raise ConfigError(f"worker count must be an integer of at least 1, got {requested!r}")
     raw = os.environ.get(THREADS_ENV, "").strip()
     if not raw:
         return requested or 1

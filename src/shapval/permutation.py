@@ -3,7 +3,12 @@
 Each sampled ordering credits every player with its marginal
 contribution to the set of preceding players.  A chunk's orderings are
 scored prefix by prefix in one call to the game, so one ordering costs
-exactly N utility evaluations (the empty prefix is free).
+exactly N utility evaluations (the empty prefix is free).  The marginals
+come out in ordering order: ``marginal_chunk`` scatters them into a
+(T, N) block per player, which compressive sampling projects, while
+``estimate_permutation`` only needs each player's total and adds them
+with one weighted ``bincount``, the same additions in the same order as
+summing that block's columns.
 """
 
 from __future__ import annotations
@@ -91,8 +96,11 @@ def sample_orderings(
     return g.permuted(np.tile(np.arange(n_players), (count, 1)), axis=1)
 
 
-def marginal_chunk(game: Game, seed: int, tag: str, chunk_index: int, count: int) -> np.ndarray:
-    """(count, N) marginal contributions, per player, over one chunk of orderings.
+def _ordered_marginals(
+    game: Game, seed: int, tag: str, chunk_index: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A chunk's (count, N) orderings and, position by position, the
+    marginal contribution of the player at each position.
 
     The orderings are ``sample_orderings(seed, tag, chunk_index, ...)``,
     so a chunk's rows depend only on its index, not on the thread or the
@@ -100,16 +108,35 @@ def marginal_chunk(game: Game, seed: int, tag: str, chunk_index: int, count: int
     """
     perms = sample_orderings(seed, tag, chunk_index, count, game.n_players)
     vals = game._values_of_orderings(perms)
-    marginals = np.concatenate([vals[:, :1], np.diff(vals, axis=1)], axis=1)
+    return perms, np.concatenate([vals[:, :1], np.diff(vals, axis=1)], axis=1)
+
+
+def marginal_chunk(game: Game, seed: int, tag: str, chunk_index: int, count: int) -> np.ndarray:
+    """(count, N) marginal contributions, per player, over one chunk of orderings."""
+    perms, marginals = _ordered_marginals(game, seed, tag, chunk_index, count)
     phi = np.empty_like(marginals)
     np.put_along_axis(phi, perms, marginals, axis=1)
     return phi
+
+
+def _marginal_totals(game: Game, seed: int, tag: str, chunk_index: int, count: int) -> np.ndarray:
+    """Per-player sums of a chunk's marginals, bit-identical to
+    ``marginal_chunk(...).sum(axis=0)``.
+
+    Both add each player's marginals from +0.0 in ordering order, except
+    for one player: numpy sums a contiguous (count, 1) column pairwise.
+    """
+    perms, marginals = _ordered_marginals(game, seed, tag, chunk_index, count)
+    if game.n_players == 1:  # the orderings are all [0], so this is the block
+        return marginals.sum(axis=0)
+    return np.bincount(perms.ravel(), weights=marginals.ravel(), minlength=game.n_players)
 
 
 def sample_permutation_marginals(
     game: Game, t_permutations: int, seed: int, *, tag: str = "perm"
 ) -> np.ndarray:
     """Materialized (T, N) matrix of per-ordering marginal contributions."""
+    check_count("t_permutations", t_permutations)
     parts = [
         marginal_chunk(game, seed, tag, i, hi - lo)
         for i, (lo, hi) in enumerate(chunk_ranges(t_permutations, ORDERING_CHUNK))
@@ -122,17 +149,15 @@ def estimate_permutation(
 ) -> ValueVector:
     """Average marginal contributions over ``budget.t_permutations`` orderings."""
     t = budget.t_permutations
-    workers = resolve_threads(threads)
-    before = game.eval_count
     parts = ordered_chunk_map(
-        lambda i, lo, hi: marginal_chunk(game, seed, "perm", i, hi - lo).sum(axis=0),
+        lambda i, lo, hi: _marginal_totals(game, seed, "perm", i, hi - lo),
         chunk_ranges(t, ORDERING_CHUNK),
-        workers,
+        resolve_threads(threads),
     )
     return ValueVector(
         ordered_sum(parts) / t,
         method="perm",
-        eval_count=game.eval_count - before,
+        eval_count=int(t) * game.n_players,
         seed=seed,
         epsilon=budget.epsilon,
         delta=budget.delta,

@@ -103,6 +103,41 @@ class TestGame:
         assert g.eval_count == 0  # rejected before anything is evaluated
         assert g.values_of_masks([top - 1])[0] == pytest.approx(g.u_total)
 
+    @pytest.mark.parametrize("masks", [[1, 2, 3, 2], [0, 1, 2, 3], [3, 0, 0, 1], [0, 0], []])
+    def test_batches_with_and_without_empty_masks(self, masks):
+        buffer = np.zeros(8)
+        seen = []
+
+        def utility(m):
+            seen.append(m.tolist())
+            buffer[: len(m)] = m / 4.0
+            return buffer[: len(m)]  # a view of the utility's own buffer
+
+        g = Game(2, utility, range_r=1.0)
+        seen.clear()
+        masks = np.array(masks, dtype=np.int64)
+        out = g.values_of_masks(masks)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert not np.shares_memory(out, buffer) and not np.shares_memory(out, masks)
+        assert out.tolist() == (masks / 4.0).tolist()
+        # one call on the nonempty masks, in order; only they are billed
+        nonempty = masks[masks != 0].tolist()
+        assert seen == ([nonempty] if nonempty else [])
+        assert g.eval_count == len(nonempty)
+
+    @pytest.mark.parametrize("empty", [[], [0]], ids=["without-empty", "with-empty"])
+    def test_checks_with_and_without_an_empty_mask(self, empty):
+        # U({1}) = 5 breaks the declared range; the full coalition does not
+        g = Game(2, lambda m: np.where(m == 2, 5.0, m / 3.0), range_r=1.0)
+        for bad in ([*empty, 1, 4], [*empty, 1, -1], [[*empty, 1, 3]]):
+            with pytest.raises(ShapvalError, match="coalition masks must be"):
+                g.values_of_masks(bad)
+        with pytest.raises(UtilityRangeError):
+            g.values_of_masks([*empty, 1, 2])
+        assert g.eval_count == 0
+        assert g.values_of_masks([*empty, 1, 3]).tolist() == [0.0] * len(empty) + [1 / 3, 1.0]
+        assert g.eval_count == 2
+
     def test_mask_range_at_63_players(self):
         # 2^63 does not fit in int64, so the largest int64 is the full coalition
         g = make_additive_game(np.ones(63))

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,8 +8,15 @@ from numpy.testing import assert_allclose
 from scipy.stats import chi2
 
 from shapval import (
+    Game,
+    KnnInstance,
     PermutationBudget,
+    estimate_compressive,
+    estimate_group_testing,
     estimate_permutation,
+    knn_game,
+    make_symmetric_game,
+    make_voting_game,
     optimize_split_constants,
     required_t_compressive,
     required_tests,
@@ -19,8 +28,8 @@ from shapval import (
     sample_permutation_marginals,
 )
 from shapval.errors import ConfigError
-from shapval.parallel import chunk_ranges, resolve_threads
-from shapval.permutation import ORDERING_CHUNK, sample_orderings
+from shapval.parallel import chunk_ranges, ordered_chunk_map, ordered_sum, resolve_threads
+from shapval.permutation import ORDERING_CHUNK, marginal_chunk, sample_orderings
 
 
 class TestRequiredPermutations:
@@ -172,13 +181,143 @@ class TestResolveThreads:
         with pytest.raises(ConfigError, match="SHAPVAL_THREADS"):
             resolve_threads(2)
 
-    @pytest.mark.parametrize("requested", [0, -3])
+    @pytest.mark.parametrize("requested", [0, -3, True, False, 2.5, 2.0, "2"])
     def test_explicit_request_must_be_positive(self, requested, monkeypatch):
         monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
         with pytest.raises(ConfigError, match="at least 1"):
             resolve_threads(requested)
         with pytest.raises(ConfigError, match="at least 1"):
             estimate_permutation(make_additive_game((1.0, 2.0)), PermutationBudget(4), 0, threads=requested)
+
+
+    def test_numpy_integer_request(self, monkeypatch):
+        monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
+        assert resolve_threads(np.int64(2)) == 2
+
+
+def negative_zero_game(n):
+    """|S| / N once S holds player 0 and another player, else -0.0 (+0.0
+    when empty), so that marginals can be -0.0; with one player, all are."""
+
+    def utility(masks):
+        masks = np.asarray(masks)
+        size = np.bitwise_count(masks.astype(np.uint64))
+        worth = np.where((masks & 1) & (size >= 2), size / n, -0.0)
+        return np.where(masks == 0, 0.0, worth)
+
+    return Game(n, utility, range_r=1.0, name="negative-zero")
+
+
+def knn_prefix_game():
+    g = np.random.default_rng(31)
+    x, y = np.round(g.normal(size=(20, 2))), g.integers(0, 3, 20)
+    xt, yt = np.round(g.normal(size=(4, 2))), g.integers(0, 3, 4)
+    return knn_game([KnnInstance(x, y, xt[i], yt[i], 3) for i in range(4)])
+
+
+IDENTITY_GAMES = {
+    "additive63": lambda: make_additive_game(np.random.default_rng(5).uniform(0.0, 1.0, 63)),
+    "voting": lambda: make_voting_game(np.random.default_rng(6).integers(1, 5, 12).astype(float), 14.0),
+    "random-table": lambda: make_random_game(9, seed=7),
+    "symmetric": lambda: make_symmetric_game(11, np.sqrt(np.arange(12.0))),
+    "glove": make_glove_game,
+    "knn-prefix": knn_prefix_game,
+    "negative-zero": lambda: negative_zero_game(6),
+    "one-player": lambda: make_additive_game([0.1]),
+    "one-player-negative-zero": lambda: negative_zero_game(1),
+}
+
+
+@pytest.fixture(scope="module")
+def identity_games():
+    return {name: build() for name, build in IDENTITY_GAMES.items()}
+
+
+class TestChunkTotals:
+    """The estimate is the chunk-ordered sum of each chunk's marginal block,
+    summed over its orderings, byte for byte."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("t", [1, 7, 256, 300, 777])
+    @pytest.mark.parametrize("name", list(IDENTITY_GAMES))
+    def test_estimate_is_the_sum_of_marginal_blocks(self, identity_games, name, t, threads):
+        game = identity_games[name]
+        parts = ordered_chunk_map(
+            lambda i, lo, hi: marginal_chunk(game, 21, "perm", i, hi - lo).sum(axis=0),
+            chunk_ranges(t, ORDERING_CHUNK),
+            threads,
+        )
+        expected = ordered_sum(parts) / t
+        got = estimate_permutation(game, PermutationBudget(t), seed=21, threads=threads).values
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["negative-zero", "one-player-negative-zero"])
+    def test_negative_zero_marginals_occur(self, identity_games, name):
+        phi = marginal_chunk(identity_games[name], 21, "perm", 0, 50)
+        assert np.any(np.signbit(phi) & (phi == 0.0))
+
+
+class TestSampleMarginalsInput:
+    @pytest.mark.parametrize("count", [0, -1, 2.5, 3.0, True, "4"])
+    def test_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(ValueError, match="t_permutations"):
+            sample_permutation_marginals(make_glove_game(), count, seed=1)
+
+    def test_numpy_integer_count(self):
+        assert sample_permutation_marginals(make_glove_game(), np.int64(3), seed=1).shape == (3, 3)
+
+
+class TestEvalCounts:
+    """Each estimator reports the evaluations it billed, not the change of
+    the game's shared counter, so concurrent callers do not see each other's."""
+
+    ESTIMATORS = {
+        "perm": lambda g: estimate_permutation(g, PermutationBudget(600), seed=1),
+        "compressive": lambda g: estimate_compressive(g, 4, 300, 0.1, seed=2),
+        "feasibility": lambda g: estimate_group_testing(g, 0.5, 0.2, 3, t_tests=5000),
+        "baseline": lambda g: estimate_group_testing(g, 1.0, 0.5, 4, "baseline"),
+    }
+
+    def test_single_caller_counts_match_the_game_counter(self):
+        for name, run in self.ESTIMATORS.items():
+            game = make_random_game(10, seed=5)
+            vv = run(game)
+            assert vv.eval_count == game.eval_count, name
+        assert self.ESTIMATORS["perm"](game).eval_count == 600 * 10
+        assert self.ESTIMATORS["compressive"](game).eval_count == 300 * 10
+        assert self.ESTIMATORS["feasibility"](game).eval_count == 5000
+        vv = estimate_permutation(game, PermutationBudget(np.int64(3)), seed=1)
+        assert type(vv.eval_count) is int and vv.eval_count == 30
+
+    @pytest.mark.parametrize("pair", [("perm", "compressive"), ("feasibility", "baseline"), ("perm", "baseline")])
+    def test_two_threads_on_one_game(self, pair):
+        expected = {}
+        for name in pair:
+            alone = make_random_game(10, seed=5)
+            expected[name] = self.ESTIMATORS[name](alone).eval_count
+        shared = make_random_game(10, seed=5)
+        barrier = threading.Barrier(len(pair), timeout=30)
+        counts = {name: [] for name in pair}
+
+        def worker(name):
+            barrier.wait()
+            for _ in range(3):
+                counts[name].append(self.ESTIMATORS[name](shared).eval_count)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=worker, args=(name,)) for name in pair]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        for name in pair:
+            assert counts[name] == [expected[name]] * 3, name
+        assert shared.eval_count == 3 * sum(expected.values())
 
 
 class TestOrderingSampler:

@@ -1,9 +1,10 @@
 """Outputs pinned by SHA-256 digest at fixed seeds.
 
-Permutation sampling (also on a tie-heavy KNN game), compressive
-sampling (also on a KNN game), the baseline player's direct estimate,
-the utilities decoded from masks by ``games._membership`` and the
-values CSV of ``shapval knn`` are pinned, so a change to the shared
+Permutation sampling (also on a tie-heavy KNN game, a 16-player random
+table and 1- and 2-player games), compressive sampling (also on a KNN
+game), the baseline player's direct estimate, the utilities decoded
+from masks by ``games._membership`` and the values CSV of ``shapval
+knn`` are pinned, so a change to the shared
 sampling, mask, sort, loading or writing code that moves any of them,
 even in the last bit, fails here.  Group-test values are not
 pinned; their draw is tested for uniformity in test_group_testing.py.
@@ -26,6 +27,7 @@ from shapval import (
     estimate_compressive,
     estimate_permutation,
     make_additive_game,
+    make_random_game,
     make_voting_game,
 )
 from shapval.cli import EXIT_OK, main
@@ -84,9 +86,26 @@ def test_permutation_sampling_knn_ties(threads):
     assert digest(vv.values) == "4da2980499c622f8c9ce565b28e8be939d0662fca96c1b3e06e511101215a4ac"
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_permutation_sampling_small_games(threads):
+    # 600 orderings: two full chunks and a partial one
+    table = make_random_game(16, 12)
+    vv = estimate_permutation(table, PermutationBudget(600), seed=13, threads=threads)
+    assert digest(vv.values) == "a03bb75df904a845d372bf5ad7dda5f42ddbd6f96083024f72dedf4abbbc6ab6"
+    # one player: numpy sums a (T, 1) block pairwise, so 8 orderings of 0.1 total 0.8
+    one = make_additive_game([0.1])
+    vals = [estimate_permutation(one, PermutationBudget(t), seed=14, threads=threads).values for t in (8, 300)]
+    assert digest(np.concatenate(vals)) == (
+        "27f38bc9041d87370c09400bb227fc5a3737c3c7302176b5418f03923629c36d"
+    )
+    two = make_additive_game([0.1, 0.7])
+    vv = estimate_permutation(two, PermutationBudget(777), seed=15, threads=threads)
+    assert digest(vv.values) == "1fed8407566bd0cdef322648a8cdcff0b18d66cea77afdf6838022e7ea23ef58"
+
+
 def test_baseline_player_estimate(games):
     additive = games[0]
-    assert digest([_baseline_player_value(additive, 700, 6, 1)]) == (
+    assert digest([_baseline_player_value(additive, 700, 6, 1)[0]]) == (
         "a462d14eb0210b77c1f81390dc8e66a27aa74c108787390c2220981d080ac5a1"
     )
 
