@@ -123,8 +123,9 @@ def _marginal_totals(game: Game, seed: int, tag: str, chunk_index: int, count: i
     """Per-player sums of a chunk's marginals, bit-identical to
     ``marginal_chunk(...).sum(axis=0)``.
 
-    Both add each player's marginals from +0.0 in ordering order, except
-    for one player: numpy sums a contiguous (count, 1) column pairwise.
+    Both add each player's marginals from +0.0 in ordering order.  With a
+    single player numpy sums the contiguous (count, 1) block pairwise
+    instead, so that case keeps the block sum.
     """
     perms, marginals = _ordered_marginals(game, seed, tag, chunk_index, count)
     if game.n_players == 1:  # the orderings are all [0], so this is the block
