@@ -187,12 +187,16 @@ class ExperimentConfig:
             raise ConfigError(f"--epsilon must be positive and finite, got {self.epsilon!r}")
         if self.delta is not None and not 0 < self.delta < 1:
             raise ConfigError(f"--delta must lie in (0, 1), got {self.delta!r}")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError(f"--threads must be positive, got {self.threads}")
+        for name in _COUNTS:
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{_FLAGS[name]} must be positive, got {value}")
 
 
 _OPTIONS = tuple(f for f in fields(ExperimentConfig) if f.metadata)
 _FLAGS = {f.name: "--" + f.metadata["key"].replace("_", "-") for f in _OPTIONS}
+# count options, each at least 1 when given
+_COUNTS = ("players", "k", "permutations", "tests", "measurements", "threads")
 
 
 def build_game(config: ExperimentConfig) -> Game:

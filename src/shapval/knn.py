@@ -24,11 +24,23 @@ ascending index.  Distances are sorted with numpy's default (unstable)
 or a NaN (NaNs sort last) is the sort redone with ``kind="stable"``.
 With distinct finite distances every correct sort gives the same
 permutation, so ``order`` always equals the stable argsort.
+
+A ``KnnInstance`` only validates on construction; it sorts on first
+use of ``order`` or ``matches`` and keeps the result.  Instances built
+for a whole test set therefore hold no per-test arrays.
+``knn_shapley_testset`` streams the test set without filling those
+caches: it sorts one test point at a time into a reused difference
+buffer, compares the training labels once per distinct test label and
+gathers that row by each test point's order, and adds each test point's
+closed form in test-point order, so its values equal the mean of
+``knn_shapley_exact`` bit for bit.  Its memory is that of one test
+point, whatever the test-set size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -50,16 +62,20 @@ _BLOCK_ROWS = 512
 # Arrival times (training points x orderings x test points) per prefix block:
 # its intp temporaries stay about 1 MB each.
 _BLOCK_CELLS = 1 << 17
+# Distinct test labels whose label-match rows knn_shapley_testset keeps.
+_LABEL_ROWS = 64
 
 
 @dataclass
 class KnnInstance:
     """Training points paired with one test point.
 
-    On construction the training points are sorted by distance to the
-    test point; ties are broken by ascending original index so results
-    are deterministic on degenerate data.  Distances are compared
-    exactly (no epsilon), which the index tie-break makes safe.
+    Construction validates the arguments and computes nothing else.  On
+    first use, ``order`` sorts the training points by distance to the
+    test point, ties broken by ascending original index so results are
+    deterministic on degenerate data, and ``matches`` holds the label
+    matches in that order.  Distances are compared exactly (no epsilon),
+    which the index tie-break makes safe.
     """
 
     points: np.ndarray
@@ -68,37 +84,50 @@ class KnnInstance:
     test_label: Hashable
     k_neighbors: int
     distance: str = "euclidean"
-    order: np.ndarray = field(init=False, repr=False)
-    matches: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.points = np.asarray(self.points, dtype=np.float64)
         self.labels = np.asarray(self.labels)
         self.test_point = np.asarray(self.test_point, dtype=np.float64)
-        n = self.points.shape[0]
-        if self.points.ndim != 2 or self.labels.shape != (n,):
+        if self.points.ndim != 2 or self.labels.shape != self.points.shape[:1]:
             raise ValueError("points must be (N, d) with one label per point")
+        if self.test_point.shape != self.points.shape[1:]:
+            raise ValueError(
+                f"test_point must have shape {self.points.shape[1:]}, got {self.test_point.shape}"
+            )
         check_count("k_neighbors", self.k_neighbors)
-        if not self.k_neighbors < n:
+        if not self.k_neighbors < self.n_players:
             raise ValueError("k_neighbors must satisfy 1 <= K < N")
         if self.distance not in _METRICS:
             raise ValueError(f"unknown metric {self.distance!r}")
-        diff = self.points - self.test_point
-        if self.distance == "euclidean":
-            dist = np.einsum("ij,ij->i", diff, diff)
-        else:
-            dist = np.abs(diff).sum(axis=1)
-        order = np.argsort(dist)
-        near = dist[order]
-        if np.isnan(near[-1]) or np.any(near[1:] == near[:-1]):
-            order = np.argsort(dist, kind="stable")
-        self.order = order
-        # label-match indicators in distance order
-        self.matches = (self.labels[self.order] == self.test_label).astype(np.float64)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Training-point indices by distance to the test point, ties by index."""
+        return _distance_order(self, np.empty_like(self.points))
+
+    @cached_property
+    def matches(self) -> np.ndarray:
+        """Label-match indicators (0.0 or 1.0) in distance order."""
+        return (self.labels == self.test_label)[self.order].astype(np.float64)
 
     @property
     def n_players(self) -> int:
         return self.points.shape[0]
+
+
+def _distance_order(instance: KnnInstance, diff: np.ndarray) -> np.ndarray:
+    """The stable argsort of the distances; ``diff`` is an (N, d) scratch buffer."""
+    np.subtract(instance.points, instance.test_point, out=diff)
+    if instance.distance == "euclidean":
+        dist = np.einsum("ij,ij->i", diff, diff)
+    else:
+        dist = np.abs(diff, out=diff).sum(axis=1)
+    order = np.argsort(dist)
+    near = dist[order]
+    if np.isnan(near[-1]) or np.any(near[1:] == near[:-1]):
+        order = np.argsort(dist, kind="stable")
+    return order
 
 
 def _match_fraction(instance: KnnInstance, member: np.ndarray) -> np.ndarray:
@@ -212,17 +241,20 @@ def knn_shapley_exact(instance: KnnInstance) -> ValueVector:
     therefore share exactly equal values.  No utility evaluations are
     consumed.
     """
-    n = instance.n_players
-    k = instance.k_neighbors
-    ind = instance.matches
+    values = np.empty(instance.n_players, dtype=np.float64)
+    values[instance.order] = _sorted_values(instance.matches, instance.k_neighbors)
+    return ValueVector(values, method="knn-exact", eval_count=0)
+
+
+def _sorted_values(ind: np.ndarray, k: int) -> np.ndarray:
+    """The closed form in distance order, from the match indicators in that order."""
+    n = ind.shape[0]
     ranks = np.arange(1, n, dtype=np.float64)  # i = 1..N-1
     increments = (ind[:-1] - ind[1:]) / k * (np.minimum(k - 1, ranks - 1) + 1.0) / ranks
     sorted_values = np.empty(n, dtype=np.float64)
     sorted_values[n - 1] = ind[n - 1] / n
     sorted_values[:-1] = sorted_values[n - 1] + np.cumsum(increments[::-1])[::-1]
-    values = np.empty(n, dtype=np.float64)
-    values[instance.order] = sorted_values
-    return ValueVector(values, method="knn-exact", eval_count=0)
+    return sorted_values
 
 
 def _check_shared_training(instances: Sequence[KnnInstance]) -> None:
@@ -245,10 +277,37 @@ def knn_shapley_testset(instances: Sequence[KnnInstance]) -> ValueVector:
     """Mean of the per-test-point exact values over a shared training set.
 
     Averaging is exact: values add across utilities, and the test-set
-    utility is the mean of the per-test-point utilities.
+    utility is the mean of the per-test-point utilities.  Test points are
+    sorted one at a time, and no instance's ``order`` or ``matches`` is
+    computed or kept.
     """
     _check_shared_training(instances)
+    labels = instances[0].labels
+    rows: dict = {}
+    diff = np.empty_like(instances[0].points)
     total = np.zeros(instances[0].n_players, dtype=np.float64)
     for inst in instances:
-        total += knn_shapley_exact(inst).values
+        if inst.points.strides != diff.strides:  # sum distances in the instance's own layout
+            diff = np.empty_like(inst.points)
+        order = _distance_order(inst, diff)
+        ind = _label_row(rows, labels, inst.test_label)[order].astype(np.float64)
+        total[order] += _sorted_values(ind, inst.k_neighbors)
     return ValueVector(total / len(instances), method="knn-testset", eval_count=0)
+
+
+def _label_row(rows: dict, labels: np.ndarray, test_label: Hashable) -> np.ndarray:
+    """``labels == test_label``, kept in ``rows`` for up to _LABEL_ROWS labels.
+
+    The key holds the label's type, so labels of different types that
+    compare equal (1 and 1.0) never share a row.
+    """
+    try:
+        key = (type(test_label), test_label)
+        row = rows.get(key)
+    except TypeError:  # unhashable: compared anew every time
+        return labels == test_label
+    if row is None:
+        row = labels == test_label
+        if len(rows) < _LABEL_ROWS:
+            rows[key] = row
+    return row

@@ -403,6 +403,26 @@ class TestRejectedInputs:
         assert main(["exact", "--game", "glove", "--config", str(cfg)]) == EXIT_BAD_CONFIG
         one_line_error(capsys)
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("flag", ["players", "k", "permutations", "tests", "measurements"])
+    def test_counts_must_be_positive(self, flag, value, tmp_path, capsys):
+        train, test = write_knn_files(tmp_path)
+        argv = {  # every other option valid, so only the count check can reject
+            "players": ["exact", "--game", "random"],
+            "k": ["knn", "--train", str(train), "--test", str(test)],
+            "permutations": ["perm", "--game", "glove"],
+            "tests": ["group-test", "--game", "glove", "--epsilon", "0.5", "--delta", "0.2"],
+            "measurements": [
+                "compressive", "--game", "glove", "--epsilon", "0.5", "--permutations", "3",
+            ],
+        }[flag]
+        assert main([*argv, f"--{flag}", value]) == EXIT_BAD_CONFIG
+        assert f"--{flag} must be positive" in one_line_error(capsys)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{flag} = {value}\n")
+        assert main([*argv, "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        assert f"--{flag} must be positive" in one_line_error(capsys)
+
     @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
     def test_threads_variable_must_be_a_positive_integer(self, value, monkeypatch, capsys):
         monkeypatch.setenv("SHAPVAL_THREADS", value)

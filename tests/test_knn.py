@@ -17,6 +17,7 @@ from shapval import (
     knn_shapley_testset,
 )
 
+import shapval.knn as knn_module
 from shapval.parallel import chunk_ranges, ordered_chunk_map
 from shapval.permutation import marginal_chunk, sample_orderings
 
@@ -373,6 +374,107 @@ class TestTestset:
         assert np.array_equal(
             knn_game(copies).values_of_masks(masks), knn_game(shared).values_of_masks(masks)
         )
+
+
+def in_order_mean(instances):
+    total = np.zeros(instances[0].n_players)
+    for inst in instances:
+        total += knn_shapley_exact(inst).values
+    return total / len(instances)
+
+
+def stream_cases():
+    g = np.random.default_rng(91)
+    grid = g.integers(0, 3, size=(60, 2)).astype(float)
+    yield "tie-heavy", grid, g.integers(0, 2, 60), g.integers(0, 3, (25, 2)).astype(float), g.integers(0, 2, 25)
+    nan_points = g.normal(size=(50, 3))
+    nan_points[[2, 9, 30], 1] = np.nan
+    nan_tests = g.normal(size=(12, 3))
+    nan_tests[4, 0] = np.nan
+    yield "nan-features", nan_points, g.integers(0, 3, 50), nan_tests, g.integers(0, 3, 12)
+    mixed = np.array([1, "1", None, 1.0] * 10, dtype=object)
+    yield "mixed-labels", np.round(g.normal(size=(40, 2))), mixed, g.normal(size=(8, 2)), [1, "1", None, 1.0, True, "x", 1, None]
+    # np.array("b") is unhashable, so its row is compared anew
+    yield "absent-label", g.normal(size=(30, 2)), np.array(["a", "b"] * 15), g.normal(size=(6, 2)), ["a", "z", np.array("b"), "z", "q", "a"]
+    # more distinct test labels than knn._LABEL_ROWS keeps
+    many = np.arange(100) % 90
+    yield "many-labels", g.normal(size=(100, 2)), many, g.normal(size=(200, 2)), np.arange(200) % 90
+
+
+class TestStreamedTestset:
+    """``knn_shapley_testset`` streams the test points without instance caches."""
+
+    @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("case", list(stream_cases()), ids=lambda c: c[0])
+    def test_equals_in_order_mean_of_exact_bytewise(self, case, k, distance):
+        _, points, labels, tests, test_labels = case
+        instances = [KnnInstance(points, labels, t, lab, k, distance) for t, lab in zip(tests, test_labels)]
+        streamed = knn_shapley_testset(instances).values
+        for inst in instances:
+            assert "order" not in vars(inst) and "matches" not in vars(inst)
+        assert streamed.tobytes() == in_order_mean(instances).tobytes()
+
+    def test_mixed_metrics_and_copied_training_sets(self, rng):
+        # rows permute one set of coordinates, so distances from the origin
+        # differ only by rounding, which depends on each copy's memory layout
+        rows = np.array([rng.permutation(9) for _ in range(40)])
+        points = np.asfortranarray(rng.normal(size=9)[rows])
+        labels = rng.integers(0, 2, 40)
+        copies = [points, points.copy(), np.ascontiguousarray(points)] * 2
+        metrics = ["euclidean", "manhattan"] * 3
+        instances = [
+            KnnInstance(p, labels, np.zeros(9), i % 2, 4, metric)
+            for i, (p, metric) in enumerate(zip(copies, metrics))
+        ]
+        streamed = knn_shapley_testset(instances).values
+        assert streamed.tobytes() == in_order_mean(instances).tobytes()
+
+    def test_construction_validates_without_sorting(self, monkeypatch):
+        def no_sort(*args):
+            raise AssertionError("sorted on construction")
+
+        monkeypatch.setattr(knn_module, "_distance_order", no_sort)
+        x, y = np.zeros((6, 3)), np.array(list("aabbab"))
+        good = dict(points=x, labels=y, test_point=np.zeros(3), test_label="a", k_neighbors=2)
+        inst = KnnInstance(**good)
+        for bad in (
+            dict(k_neighbors=0),
+            dict(k_neighbors=6),
+            dict(distance="cosine"),
+            dict(test_point=np.array([0.5])),
+            dict(test_point=np.zeros((6, 3))),
+            dict(test_point=np.float64(0.5)),
+            dict(labels=y[:5]),
+        ):
+            with pytest.raises(ValueError):
+                KnnInstance(**{**good, **bad})
+        with pytest.raises(AssertionError, match="sorted on construction"):
+            inst.order
+
+    def test_peak_memory_does_not_grow_with_test_points(self):
+        g = np.random.default_rng(5)
+        n = 2000
+        points, labels = g.normal(size=(n, 3)), g.integers(0, 3, n).astype(str)
+        peaks, call_peaks = [], []
+        for t in (10, 200):
+            tests = g.normal(size=(t, 3))
+            tracemalloc.start()
+            try:
+                instances = [KnnInstance(points, labels, p, labels[i], 5) for i, p in enumerate(tests)]
+                built = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                knn_shapley_testset(instances)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+            call_peaks.append(peak - built)
+        # the call's own peak is one test point's, not the test set's
+        assert call_peaks[1] < call_peaks[0] + n * 8
+        # instances cost a few hundred bytes each; one kept (N,) order or
+        # matches per test point would add 8 N bytes each
+        assert peaks[1] - peaks[0] < 190 * n
 
 
 class TestPascalIdentity:
