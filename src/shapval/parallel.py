@@ -6,13 +6,22 @@ order, so output is bitwise identical for every worker count.  Chunk
 boundaries depend only on the total and the chunk size, which makes the
 chunk size part of the output contract: for a given seed, changing it
 changes the values.
+
+A call with ``threads`` workers runs chunks on the calling thread and
+on up to ``threads - 1`` helper threads (named ``shapval…``) of one
+pool that the process creates on first use and keeps.  When the chunks
+run out, the caller cancels the helpers that have not started and waits
+only for those that have, so a nested call or a forked child (which has
+none of the parent's threads and builds its own pool) never waits on a
+thread that cannot run.
 """
 
 from __future__ import annotations
 
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -58,17 +67,81 @@ def chunk_ranges(total: int, size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """A forked child has none of the parent's threads: build a new pool."""
+    global _pool, _pool_size, _pool_lock
+    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _start_helpers(work: Callable[[], None], count: int) -> list[Future]:
+    """Queue ``count`` runs of ``work`` on the shared pool, grown to fit."""
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool_size < count:
+            if _pool is not None:
+                _pool.shutdown(wait=False)  # queued helpers still run
+            _pool = ThreadPoolExecutor(count, thread_name_prefix="shapval")
+            _pool_size = count
+        return [_pool.submit(work) for _ in range(count)]
+
+
 def ordered_chunk_map(
     fn: Callable[[int, int, int], T],
     ranges: Sequence[tuple[int, int]],
     threads: int,
 ) -> list[T]:
-    """Apply fn(chunk_index, lo, hi) to every chunk; results in chunk order."""
-    if threads <= 1 or len(ranges) <= 1:
+    """Apply fn(chunk_index, lo, hi) to every chunk; results in chunk order.
+
+    With more than one thread, chunks are claimed in increasing index
+    order.  Once a chunk fails no new chunk is claimed; the chunks
+    already running finish and the lowest-index failure is raised, which
+    is the error one thread would have raised.  No chunk is running when
+    the call returns or raises.
+    """
+    n = len(ranges)
+    if threads <= 1 or n <= 1:
         return [fn(i, lo, hi) for i, (lo, hi) in enumerate(ranges)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, i, lo, hi) for i, (lo, hi) in enumerate(ranges)]
-        return [f.result() for f in futures]
+    results: list = [None] * n
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    claimed = 0
+
+    def work() -> None:
+        nonlocal claimed
+        while True:
+            with lock:
+                if errors or claimed == n:
+                    return
+                i = claimed
+                claimed += 1
+            lo, hi = ranges[i]
+            try:
+                results[i] = fn(i, lo, hi)
+            except BaseException as exc:  # raised by the caller below
+                with lock:
+                    errors[i] = exc
+                return
+
+    helpers = _start_helpers(work, min(threads, n) - 1)
+    try:
+        work()
+    finally:
+        with lock:
+            claimed = n  # the caller may be leaving on an interrupt
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def ordered_sum(parts: Sequence[np.ndarray]) -> np.ndarray:

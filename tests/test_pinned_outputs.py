@@ -75,7 +75,7 @@ def test_compressive_sampling_knn(games):
     )
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 def test_permutation_sampling_knn_ties(threads):
     # integer grid: tied distances everywhere; K = 1 and three chunks of orderings
     g = np.random.default_rng(1111)
@@ -86,7 +86,7 @@ def test_permutation_sampling_knn_ties(threads):
     assert digest(vv.values) == "4da2980499c622f8c9ce565b28e8be939d0662fca96c1b3e06e511101215a4ac"
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 def test_permutation_sampling_small_games(threads):
     # 600 orderings: two full chunks and a partial one
     table = make_random_game(16, 12)
