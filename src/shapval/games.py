@@ -99,6 +99,11 @@ class Game:
     same billing as the mask form's, and come back C-ordered whatever
     layout it returns, since the samplers' sums over orderings are only
     bit-identical on a C-ordered block.
+
+    The built-in utilities score a batch of masks in fixed row blocks
+    (``_in_blocks``), so a whole-table batch from an exact oracle holds
+    one block's temporaries, not a (2^N, N) array.  The split changes
+    no value; see ``make_additive_game``.
     """
 
     def __init__(
@@ -270,13 +275,12 @@ def exact_shapley_subsets(game: Game, *, max_players: int = DEFAULT_SUBSET_GUARD
     """
     n = game.n_players
     _check_guard(n, max_players, "subset enumeration")
-    table = utility_table(game)
-    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
+    masks = np.arange(1 << n, dtype=np.int64)
+    table = game.values_of_masks(masks)
     # weight by |S|; masks containing i contribute a zero difference, so give
     # size N (only reachable for such masks) a zero weight instead of branching
     weights = np.array([_inverse_binomial(n - 1, s) / n for s in range(n)] + [0.0])
-    w = weights[sizes]
-    masks = np.arange(1 << n, dtype=np.int64)
+    w = weights[np.bitwise_count(masks)]
     values = np.empty(n, dtype=np.float64)
     for i in range(n):
         values[i] = float(np.sum(w * (table[masks | (1 << i)] - table)))
@@ -340,10 +344,51 @@ def exact_shapley_difference(
 # -- synthetic games -------------------------------------------------------
 
 
+# Rows per block of the member-weight sums.  A block's (rows, N) membership
+# is cast to float64 for the product, 2 MB at N = 63; at large N the rows
+# per block must shrink to keep that bounded.  Keep it a multiple of 64
+# rows: OpenBLAS 0.3.31's dgemv sums rows in groups of 4 counted from the
+# start of each call, so blocks of a multiple of 4 rows gave every sum the
+# bits of one call over the batch, while blocks of 2, 3 or 7 rows moved
+# 1.8k-6.4k of 16k sums in the last bits.  Smaller blocks cost time: at 512
+# rows a two-thread group-test job ran 15 % slower, at 4096 level.
+_WEIGHT_ROWS = 4096
+
+
 def _membership(masks: np.ndarray, n: int) -> np.ndarray:
     """Boolean (len(masks), n) membership matrix; bit i of a mask is column i."""
     octets = np.ascontiguousarray(masks, dtype="<i8").view(np.uint8).reshape(-1, 8)
     return np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
+
+
+def _in_blocks(
+    masks: np.ndarray, rows: int, score: Callable[[np.ndarray, np.ndarray], None]
+) -> np.ndarray:
+    """Utilities of ``masks``, scored ``rows`` masks at a time.
+
+    ``score(block, out)`` writes the utilities of a block of masks into
+    ``out``, its zeroed slice of the result, so a batch's temporaries are
+    those of one block whatever its length.  numpy computes a one-row
+    product with ``dot``, not ``gemv``, which rounds differently, so a
+    lone last row joins the block before it.
+    """
+    count = masks.shape[0]
+    out = np.zeros(count, dtype=np.float64)
+    lo = 0
+    while lo < count:
+        hi = lo + rows if lo + rows + 1 < count else count
+        score(masks[lo:hi], out[lo:hi])
+        lo = hi
+    return out
+
+
+def _weight_sums(masks: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum of the member weights ``w`` of each mask, in _WEIGHT_ROWS blocks."""
+
+    def score(block: np.ndarray, out: np.ndarray) -> None:
+        np.matmul(_membership(block, w.size), w, out=out)
+
+    return _in_blocks(masks, _WEIGHT_ROWS, score)
 
 
 def _masks(member: np.ndarray) -> np.ndarray:
@@ -355,7 +400,13 @@ def _masks(member: np.ndarray) -> np.ndarray:
 
 
 def make_additive_game(weights: Sequence[float]) -> Game:
-    """U(S) = sum of member weights; the Shapley value is the weight vector."""
+    """U(S) = sum of member weights; the Shapley value is the weight vector.
+
+    A batch of masks is summed _WEIGHT_ROWS rows at a time.  Each block is
+    one matrix-vector product, which sums a mask's weights as one product
+    over the whole batch would: the block boundaries fall on the BLAS
+    kernel's groups of rows, and no block is a single row.
+    """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size < 1:
         raise ValueError("weights must be a nonempty vector")
@@ -364,14 +415,9 @@ def make_additive_game(weights: Sequence[float]) -> Game:
     total = float(w.sum())
     if total <= 0:
         raise ValueError("at least one weight must be positive")
-    n = w.size
-
-    def batch(masks: np.ndarray) -> np.ndarray:
-        return _membership(masks, n) @ w
-
     return Game(
-        n,
-        batch,
+        w.size,
+        lambda masks: _weight_sums(masks, w),
         range_r=total,
         monotone=True,
         exact_values=w.copy(),
@@ -439,17 +485,19 @@ def make_glove_game() -> Game:
 def make_voting_game(weights: Sequence[float], quota: float) -> Game:
     """U(S) = 1 when the members' combined voting weight reaches the quota."""
     w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1 or w.size < 1:
+        raise ValueError("weights must be a nonempty vector")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
     if not 0 < quota <= float(w.sum()):
         raise ValueError("quota must be positive and attainable")
-    n = w.size
 
     def batch(masks: np.ndarray) -> np.ndarray:
-        return (_membership(masks, n) @ w >= quota).astype(np.float64)
+        sums = _weight_sums(masks, w)
+        return np.greater_equal(sums, quota, out=sums)  # 1.0 where it reaches
 
     return Game(
-        n,
+        w.size,
         batch,
         range_r=1.0,
         monotone=True,

@@ -45,7 +45,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .games import Game, ValueVector, _membership
+from .games import Game, ValueVector, _in_blocks, _membership
 from .parallel import check_count
 
 __all__ = [
@@ -56,8 +56,11 @@ __all__ = [
 ]
 
 _METRICS = ("euclidean", "manhattan")
-# Rows per membership block: the (rows, N) temporaries stay a few hundred KB,
-# also when an exact oracle sends all 2^N masks in one batch.
+# Rows per membership block of the mask form: the (rows, N) temporaries stay
+# a few hundred KB, also when an exact oracle sends all 2^N masks in one
+# batch.  Measured fastest: 16 384 masks over 40 training and 20 test points
+# took 65 ms at 512 rows, 131 ms at 4096.  Hit counts are exact, so the
+# split never changes a value.
 _BLOCK_ROWS = 512
 # Arrival times (training points x orderings x test points) per prefix block:
 # its intp temporaries stay about 1 MB each.
@@ -202,13 +205,13 @@ def knn_game(instances: KnnInstance | Sequence[KnnInstance]) -> Game:
     n = seq[0].n_players
     k = seq[0].k_neighbors
 
+    def score(block: np.ndarray, out: np.ndarray) -> None:
+        member = _membership(block, n)
+        for inst in seq:
+            out += _match_fraction(inst, member)
+
     def batch(masks: np.ndarray) -> np.ndarray:
-        out = np.zeros(masks.shape[0], dtype=np.float64)
-        for lo in range(0, masks.shape[0], _BLOCK_ROWS):
-            member = _membership(masks[lo : lo + _BLOCK_ROWS], n)
-            for inst in seq:
-                out[lo : lo + _BLOCK_ROWS] += _match_fraction(inst, member)
-        return out / len(seq)
+        return _in_blocks(masks, _BLOCK_ROWS, score) / len(seq)
 
     orders = np.stack([inst.order for inst in seq], axis=1)  # (N, T)
     misses = np.stack([inst.matches == 0 for inst in seq], axis=1)

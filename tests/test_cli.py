@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import shapval
 from shapval.cli import (
     EXIT_BAD_CONFIG,
     EXIT_FAILURE,
@@ -331,10 +334,14 @@ class TestDeterminismAcrossThreads:
 
 
 def test_console_entry_point(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(shapval.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    ))
     result = subprocess.run(
         [sys.executable, "-m", "shapval.cli", "exact", "--game", "glove"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout.startswith("player,value")

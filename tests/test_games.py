@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,7 +19,7 @@ from shapval import (
     make_symmetric_game,
     make_voting_game,
 )
-from shapval.games import _masks, _membership
+from shapval.games import _in_blocks, _masks, _membership
 from conftest import brute_force_shapley, glove_mask_utility
 
 
@@ -240,6 +242,41 @@ class TestMembership:
         assert np.array_equal(_masks(member[in_range]), masks[in_range])
 
 
+def voting_half(weights):
+    return make_voting_game(weights, float(np.sum(weights)) / 2)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize(
+        "count, sizes",
+        [(0, []), (1, [1]), (2, [2]), (8, [8]), (9, [9]), (10, [8, 2]), (16, [8, 8]), (17, [8, 9])],
+    )
+    def test_each_row_scored_once_and_no_lone_last_row(self, count, sizes):
+        seen = []
+
+        def score(block, out):
+            seen.append(block.size)
+            out += block
+
+        assert _in_blocks(np.arange(count), 8, score).tolist() == list(range(count))
+        # numpy takes a one-row product through dot, which rounds unlike gemv
+        assert seen == sizes
+
+    @pytest.mark.parametrize("make", [make_additive_game, voting_half])
+    def test_full_table_batch_memory_stays_below_one_float_block(self, make):
+        n = 18
+        game = make(np.random.default_rng(n).uniform(0.0, 1.0, n))
+        masks = np.arange(1 << n, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            game.values_of_masks(masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (2^N, N) float64 temporary alone would take this much
+        assert peak < masks.size * n * 8
+
+
 class TestExactOracles:
     def test_additive_game_recovers_weights(self):
         g = make_additive_game((1.0, 2.0, 3.0))
@@ -361,6 +398,11 @@ class TestConstructorValidation:
     def test_unattainable_quota(self):
         with pytest.raises(ValueError):
             make_voting_game((1.0, 1.0), quota=3.0)
+
+    @pytest.mark.parametrize("weights", [[[1, 2], [3, 4]], [], 2.0])
+    def test_voting_weights_must_be_a_nonempty_vector(self, weights):
+        with pytest.raises(ValueError, match="weights"):
+            make_voting_game(weights, 2)
 
     def test_symmetric_empty_must_be_zero(self):
         with pytest.raises(ValueError):

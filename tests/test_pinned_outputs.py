@@ -2,14 +2,14 @@
 
 Permutation sampling (also on a tie-heavy KNN game, a 16-player random
 table and 1- and 2-player games), compressive sampling (also on a KNN
-game), the baseline player's direct estimate, the utilities decoded
-from masks by ``games._membership`` and the values CSV of ``shapval
-knn`` are pinned, so a change to the shared
-sampling, mask, sort, loading or writing code that moves any of them,
-even in the last bit, fails here.  Group-test values are not
-pinned; their draw is tested for uniformity in test_group_testing.py.
-Recorded with numpy 2.4 on x86-64; a different BLAS may round the
-additive and KNN sums differently.
+game), group testing (both recovery routes and the test potentials),
+the baseline player's direct estimate, the utilities decoded from masks
+by ``games._membership`` (also across several row blocks), a full
+utility table and the values CSV of ``shapval knn`` are pinned, so a
+change to the shared sampling, mask, sort, loading or writing code that
+moves any of them, even in the last bit, fails here.  Recorded with
+numpy 2.4 on x86-64; a different BLAS may round the additive and KNN
+sums differently.
 """
 
 import hashlib
@@ -25,13 +25,15 @@ import shapval
 from shapval import (
     PermutationBudget,
     estimate_compressive,
+    estimate_group_testing,
     estimate_permutation,
     make_additive_game,
     make_random_game,
     make_voting_game,
 )
 from shapval.cli import EXIT_OK, main
-from shapval.group_testing import _baseline_player_value
+from shapval.games import utility_table
+from shapval.group_testing import _baseline_player_value, build_plan, run_tests
 from shapval.knn import KnnInstance, knn_game
 
 
@@ -118,6 +120,45 @@ def test_decoded_utilities(games):
     assert digest(voting.values_of_masks(masks)) == (
         "7b52bbb4b46694d4f40b71e4c89e00e44e49e04a738ff90b6d6043e7fc4e414c"
     )
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_group_testing(games, threads):
+    # 10 001 tests: two full 4096-test chunks and a partial one
+    additive = games[0]
+    _, utils, potentials = run_tests(additive, build_plan(63), 10_001, 21, threads=threads)
+    assert digest(np.concatenate([utils, potentials])) == (
+        "8ecd7a73df8ec9b7ec6fc16fbe40aef8ebc87cd70cd7096af75a2a49c5133a23"
+    )
+    vals = [
+        estimate_group_testing(additive, 5.0, 0.1, 22, recovery, t_tests=10_001, threads=threads).values
+        for recovery in ("feasibility", "baseline")
+    ]
+    assert digest(np.concatenate(vals)) == (
+        "bd4dc812bce496387b54be3c89f2af446f4419b9a5c2a7c70ef36e815e27afd0"
+    )
+
+
+def test_decoded_utilities_across_blocks(games):
+    # 10 001 masks: more than two 4096-row blocks, and not a multiple of 4 rows
+    additive, _, voting, _ = games
+    g = np.random.default_rng(23)
+    wide = g.integers(1, np.iinfo(np.int64).max, 10_001)
+    assert digest(additive.values_of_masks(wide)) == (
+        "15d908ca839d25df58ac003af921fe2f490be273c52660577c7a7229c87bf00c"
+    )
+    # one row past a block: summed with the block before it, as in one call
+    assert digest(additive.values_of_masks(wide[:4097])) == (
+        "5d0cc855de49a1e53da09996f683eb3e4206787a21172f0d94e9cf5bf05c6398"
+    )
+    assert digest(voting.values_of_masks(g.integers(1, 1 << 40, 10_001))) == (
+        "7ca4b903f0f360e44fb97373246b94dda72f88bb45e0792c2cce8661a7580bc1"
+    )
+
+
+def test_utility_table():
+    table = utility_table(make_additive_game(np.random.default_rng(24).uniform(0.0, 1.0, 16)))
+    assert digest(table) == "bf6c8d26d4bc0f58d3f546bbcf528777a8fe775899fec1f1e25274dccdbbcb2f"
 
 
 def write_rows(path, x, y):
