@@ -18,10 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytics, compressive, group_testing, knn, permutation
+# the other estimator modules are imported by the code that runs them, so a
+# process loads only its method's modules (``knn`` only the closed form)
+from . import knn
 from .datasets import load_labeled_csv, signed_labels
 from .errors import ConfigError, ShapvalError, SizeGuardError, UnknownMethodError
 from .games import (
+    RANDOM_GAME_PLAYERS,
     Game,
     ValueVector,
     exact_shapley_subsets,
@@ -191,6 +194,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{_FLAGS[name]} must be positive, got {value}")
+        if self.game_kind == "random" and self.players > RANDOM_GAME_PLAYERS:
+            raise ConfigError(
+                f"--players must be at most {RANDOM_GAME_PLAYERS} for random games,"
+                f" got {self.players}"
+            )
 
 
 _OPTIONS = tuple(f for f in fields(ExperimentConfig) if f.metadata)
@@ -226,6 +234,8 @@ def _looinfluence_values(config: ExperimentConfig) -> ValueVector:
     loss relative to the untrained (zero-parameter) model, so the total
     is ln 2 - test loss of the full model.
     """
+    from . import analytics
+
     x, labels = load_labeled_csv(config.train)
     y = signed_labels(labels)
     xt, labels_t = load_labeled_csv(config.test)
@@ -250,6 +260,8 @@ def _estimator_values(config: ExperimentConfig, game: Game) -> ValueVector:
     if method == "exact":
         return exact_shapley_subsets(game)
     if method == "perm":
+        from . import permutation
+
         if config.permutations is not None:
             budget = permutation.PermutationBudget(
                 config.permutations, epsilon=config.epsilon, delta=config.delta
@@ -262,6 +274,8 @@ def _estimator_values(config: ExperimentConfig, game: Game) -> ValueVector:
             )
         return permutation.estimate_permutation(game, budget, config.seed, threads=config.threads)
     if method == "group-test":
+        from . import group_testing
+
         if config.epsilon is None or config.delta is None:
             raise ConfigError("group-test needs --epsilon and --delta")
         return group_testing.estimate_group_testing(
@@ -274,6 +288,8 @@ def _estimator_values(config: ExperimentConfig, game: Game) -> ValueVector:
             threads=config.threads,
         )
     if method == "compressive":
+        from . import compressive
+
         if config.measurements is None:
             raise ConfigError("compressive needs --measurements")
         if config.epsilon is None:
@@ -290,6 +306,8 @@ def _estimator_values(config: ExperimentConfig, game: Game) -> ValueVector:
             game, config.measurements, t, config.epsilon, config.seed, threads=config.threads
         )
     if method == "uniform":
+        from . import analytics
+
         return analytics.uniform_division(game.u_total, game.n_players)
     raise UnknownMethodError(f"unknown method {method!r}")
 

@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ShapvalError, SizeGuardError, UtilityRangeError
-from .rng import stream
 
 __all__ = [
     "Game",
@@ -330,11 +329,13 @@ def exact_shapley_difference(
         raise ValueError("players must be distinct")
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError("player index out of range")
-    others = np.array([p for p in range(n) if p not in (i, j)], dtype=np.int64)
+    others = [p for p in range(n) if p not in (i, j)]
     sub = np.arange(1 << (n - 2), dtype=np.int64)
-    bits = (sub[:, None] >> np.arange(n - 2)) & 1
-    masks = (bits * (1 << others)).sum(axis=1, dtype=np.int64)
-    sizes = np.bitwise_count(sub.astype(np.uint64)).astype(np.int64)
+    sizes = np.bitwise_count(sub)
+    # bit b of sub is player others[b]: deposit one player at a time
+    masks = np.zeros_like(sub)
+    for b, player in enumerate(others):
+        masks |= ((sub >> b) & 1) << player
     weights = np.array([_inverse_binomial(n - 2, s) for s in range(n - 1)])
     with_i = game.values_of_masks(masks | (1 << i))
     with_j = game.values_of_masks(masks | (1 << j))
@@ -505,15 +506,21 @@ def make_voting_game(weights: Sequence[float], quota: float) -> Game:
     )
 
 
+# Largest random table game: its table holds 2^N utilities.
+RANDOM_GAME_PLAYERS = 20
+
+
 def make_random_game(n_players: int, seed: int, range_r: float = 1.0) -> Game:
     """Game with i.i.d. uniform utilities in [0, range_r] (empty set worth 0).
 
     Ground-truth material for property tests; kept to table size 2^N.
     """
-    if not 1 <= n_players <= 20:
-        raise ValueError("random table games support 1..20 players")
+    if not 1 <= n_players <= RANDOM_GAME_PLAYERS:
+        raise ValueError(f"random table games support 1..{RANDOM_GAME_PLAYERS} players")
     if not 0 < range_r < math.inf:
         raise ValueError(f"range_r must be positive and finite, got {range_r!r}")
+    from .rng import stream  # rng and hashlib load only for a random game
+
     table = stream(seed, "random-game").uniform(0.0, range_r, size=1 << n_players)
     table[0] = 0.0
 

@@ -244,16 +244,25 @@ def knn_shapley_exact(instance: KnnInstance) -> ValueVector:
     therefore share exactly equal values.  No utility evaluations are
     consumed.
     """
-    values = np.empty(instance.n_players, dtype=np.float64)
-    values[instance.order] = _sorted_values(instance.matches, instance.k_neighbors)
+    n, k = instance.n_players, instance.k_neighbors
+    values = np.empty(n, dtype=np.float64)
+    values[instance.order] = _sorted_values(instance.matches, k, *_rank_factors(n, k))
     return ValueVector(values, method="knn-exact", eval_count=0)
 
 
-def _sorted_values(ind: np.ndarray, k: int) -> np.ndarray:
-    """The closed form in distance order, from the match indicators in that order."""
+def _rank_factors(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ranks i = 1..N-1 and min(K-1, i-1) + 1, shared by every test point."""
+    ranks = np.arange(1, n, dtype=np.float64)
+    return ranks, np.minimum(k - 1, ranks - 1) + 1.0
+
+
+def _sorted_values(ind: np.ndarray, k: int, ranks: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """The closed form in distance order, from the match indicators in that order.
+
+    ``ranks`` and ``reach`` are ``_rank_factors(N, K)``.
+    """
     n = ind.shape[0]
-    ranks = np.arange(1, n, dtype=np.float64)  # i = 1..N-1
-    increments = (ind[:-1] - ind[1:]) / k * (np.minimum(k - 1, ranks - 1) + 1.0) / ranks
+    increments = (ind[:-1] - ind[1:]) / k * reach / ranks
     sorted_values = np.empty(n, dtype=np.float64)
     sorted_values[n - 1] = ind[n - 1] / n
     sorted_values[:-1] = sorted_values[n - 1] + np.cumsum(increments[::-1])[::-1]
@@ -289,12 +298,13 @@ def knn_shapley_testset(instances: Sequence[KnnInstance]) -> ValueVector:
     rows: dict = {}
     diff = np.empty_like(instances[0].points)
     total = np.zeros(instances[0].n_players, dtype=np.float64)
+    factors = _rank_factors(instances[0].n_players, instances[0].k_neighbors)
     for inst in instances:
         if inst.points.strides != diff.strides:  # sum distances in the instance's own layout
             diff = np.empty_like(inst.points)
         order = _distance_order(inst, diff)
         ind = _label_row(rows, labels, inst.test_label)[order].astype(np.float64)
-        total[order] += _sorted_values(ind, inst.k_neighbors)
+        total[order] += _sorted_values(ind, inst.k_neighbors, *factors)
     return ValueVector(total / len(instances), method="knn-testset", eval_count=0)
 
 

@@ -21,12 +21,14 @@ from __future__ import annotations
 import numbers
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ThreadPoolExecutor
 
 T = TypeVar("T")
 
@@ -86,6 +88,8 @@ def _start_helpers(work: Callable[[], None], count: int) -> list[Future]:
     global _pool, _pool_size
     with _pool_lock:
         if _pool_size < count:
+            from concurrent.futures import ThreadPoolExecutor  # loaded by the first pool only
+
             if _pool is not None:
                 _pool.shutdown(wait=False)  # queued helpers still run
             _pool = ThreadPoolExecutor(count, thread_name_prefix="shapval")

@@ -5,16 +5,30 @@ Shapley oracle walks orderings directly from the definition, the
 max-violation oracle is a linear program, the sparse oracle is an
 exhaustive least-squares search, the Pascal-identity sum is summed
 term by term, and the KNN utility is a loop over one coalition at a time.
+``run_python`` runs a fresh interpreter on the package under test.
 """
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import shapval
 from shapval import Game
+
+
+def run_python(*args):
+    """``python *args`` in a new process that imports this checkout's shapval."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(shapval.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    ))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def brute_force_shapley(n, mask_utility):

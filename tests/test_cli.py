@@ -1,14 +1,9 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import shapval
 from shapval.cli import (
     EXIT_BAD_CONFIG,
     EXIT_FAILURE,
@@ -23,6 +18,7 @@ from shapval.cli import (
     sweep_budgets,
 )
 from shapval.results import read_record, sibling_json_path, write_record
+from conftest import run_python
 
 
 def write_knn_files(tmp_path):
@@ -334,17 +330,26 @@ class TestDeterminismAcrossThreads:
 
 
 def test_console_entry_point(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(shapval.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    ))
-    result = subprocess.run(
-        [sys.executable, "-m", "shapval.cli", "exact", "--game", "glove"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    result = run_python("-m", "shapval.cli", "exact", "--game", "glove")
     assert result.returncode == 0
     assert result.stdout.startswith("player,value")
+
+
+def test_knn_imports_only_the_closed_form_path(tmp_path):
+    train, test = write_knn_files(tmp_path)
+    unused = (
+        "shapval.analytics", "shapval.compressive", "shapval.group_testing",
+        "shapval.permutation", "shapval.rng", "concurrent.futures",
+    )
+    argv = ["knn", "--train", str(train), "--test", str(test), "--k", "1"]
+    result = run_python("-c", (
+        "import sys\n"
+        "import shapval.cli\n"
+        f"code = shapval.cli.main({argv!r})\n"
+        f"print(code, [m for m in {unused!r} if m in sys.modules])\n"
+    ))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
 
 
 def one_line_error(capsys) -> str:
@@ -376,6 +381,16 @@ class TestRejectedInputs:
     def test_game_parameter_the_kind_does_not_take_or_needs(self, argv, capsys):
         assert main(argv) == EXIT_BAD_CONFIG
         one_line_error(capsys)
+
+    def test_random_game_player_limit(self, tmp_path, capsys):
+        argv = ["exact", "--game", "random"]
+        assert main([*argv, "--players", "30"]) == EXIT_BAD_CONFIG
+        assert "--players must be at most 20" in one_line_error(capsys)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("players = 21\n")
+        assert main([*argv, "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        assert "--players must be at most 20" in one_line_error(capsys)
+        assert ExperimentConfig("exact", game_kind="random", players=20).players == 20
 
     def test_random_game_takes_range_and_game_seed(self, capsys):
         argv = ["exact", "--game", "random", "--players", "4", "--range", "2", "--game-seed", "3"]

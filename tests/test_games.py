@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -384,6 +385,35 @@ class TestExactDifference:
     def test_same_player_rejected(self):
         with pytest.raises(ValueError):
             exact_shapley_difference(make_glove_game(), 1, 1)
+
+    @staticmethod
+    def bit_array_difference(g, i, j):
+        """The (2^(N-2), N-2) bit-array form the mask deposit replaced."""
+        n = g.n_players
+        others = np.array([p for p in range(n) if p not in (i, j)], dtype=np.int64)
+        sub = np.arange(1 << (n - 2), dtype=np.int64)
+        masks = (((sub[:, None] >> np.arange(n - 2)) & 1) * (1 << others)).sum(axis=1)
+        weights = np.array([1.0 / math.comb(n - 2, s) for s in range(n - 1)])
+        diff = g.values_of_masks(masks | (1 << i)) - g.values_of_masks(masks | (1 << j))
+        return float(np.sum(weights[sizes(sub)] * diff) / (n - 1))
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12])
+    def test_equals_the_bit_array_form(self, n):
+        g = make_random_game(n, seed=90 + n)
+        pairs = [(0, n - 1), (n - 1, 0)] + [(i, (i * 5 + 1) % n) for i in range(n)]
+        for i, j in pairs:
+            if i != j:
+                assert exact_shapley_difference(g, i, j) == self.bit_array_difference(g, i, j)
+
+    def test_twenty_players_stay_lean(self):
+        g = make_random_game(20, seed=4)
+        tracemalloc.start()
+        try:
+            exact_shapley_difference(g, 3, 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # the bit-array form peaked at ~80 MB
 
 
 class TestConstructorValidation:
