@@ -15,12 +15,12 @@ import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-# the other estimator modules are imported by the code that runs them, so a
-# process loads only its method's modules (``knn`` only the closed form)
-from . import knn
+# the estimator modules and ``knn`` are imported by the code that runs them,
+# so a process loads only its subcommand's modules (``knn`` only the closed form)
 from .datasets import load_labeled_csv, signed_labels
 from .errors import ConfigError, ShapvalError, SizeGuardError, UnknownMethodError
 from .games import (
@@ -35,6 +35,9 @@ from .games import (
     make_voting_game,
 )
 from .results import ResultRecord, write_record
+
+if TYPE_CHECKING:
+    from .knn import KnnInstance
 
 # subcommand -> help text; each subcommand is a method
 _COMMANDS = {
@@ -211,10 +214,14 @@ def build_game(config: ExperimentConfig) -> Game:
     """Materialize the configured game (synthetic family or KNN dataset)."""
     if config.game_kind is not None:
         return _GAMES[config.game_kind][1](config)
+    from . import knn
+
     return knn.knn_game(load_knn_instances(config))
 
 
-def load_knn_instances(config: ExperimentConfig) -> list[knn.KnnInstance]:
+def load_knn_instances(config: ExperimentConfig) -> list[KnnInstance]:
+    from . import knn
+
     if config.k is None:
         raise ConfigError("dataset games need --k")
     x_train, y_train = load_labeled_csv(config.train)
@@ -321,6 +328,8 @@ def run_experiment(config: ExperimentConfig) -> ResultRecord:
             raise ConfigError("--with-oracle is not supported for loo-influence")
         vv = _looinfluence_values(config)
     elif config.method == "knn":
+        from . import knn
+
         instances = load_knn_instances(config)
         vv = knn.knn_shapley_testset(instances)
         vv = ValueVector(vv.values, method="knn", eval_count=0, seed=config.seed)

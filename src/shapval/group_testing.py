@@ -7,7 +7,8 @@ estimator of the value difference s_i - s_j, so a modest number of
 pooled tests pins down all pairwise differences at once.  Values are
 then recovered either by fitting a vector to the differences under the
 budget constraint (feasibility route, in closed form) or by anchoring on
-one directly-estimated baseline player.
+one directly-estimated baseline player.  Tests are streamed: a run
+returns only the N potentials, and no coalition outlives its chunk.
 """
 
 from __future__ import annotations
@@ -145,48 +146,44 @@ def _uniform_subsets(g: np.random.Generator, ks: np.ndarray, n: int) -> np.ndarr
     return member
 
 
+def _draw_tests(plan: GroupTestPlan, seed: int, chunk_index: int, count: int) -> np.ndarray:
+    """Boolean (count, N) membership of one chunk's tests, drawn from a
+    stream keyed on the chunk index, so any thread draws the same tests.
+    """
+    n = plan.n_players
+    g = stream(seed, "group-test", chunk_index)
+    ks = g.choice(np.arange(1, n), size=count, p=plan.q)
+    return _uniform_subsets(g, ks, n)
+
+
 def _test_chunk(
     game: Game, plan: GroupTestPlan, seed: int, chunk_index: int, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run tests lo..hi-1; returns (masks, utilities, per-player weighted sums).
-
-    One stream per chunk (keyed on the chunk index) so chunks can run on
-    any thread while drawing identical randomness.
-    """
-    n = game.n_players
-    g = stream(seed, "group-test", chunk_index)
-    ks = g.choice(np.arange(1, n), size=hi - lo, p=plan.q)
-    member = _uniform_subsets(g, ks, n)
-    masks = _masks(member)
-    utils = game.values_of_masks(masks)
-    return masks, utils, member.T.astype(np.float64) @ utils
+) -> np.ndarray:
+    """Per-player sums sum_t u_t beta_ti over tests lo..hi-1."""
+    member = _draw_tests(plan, seed, chunk_index, hi - lo)
+    utils = game.values_of_masks(_masks(member))
+    return member.T.astype(np.float64) @ utils
 
 
 def run_tests(
-    game: Game,
-    plan: GroupTestPlan,
-    t_tests: int,
-    seed: int,
-    *,
-    threads: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Execute t_tests pooled tests; returns (masks, utilities, potentials).
+    game: Game, plan: GroupTestPlan, t_tests: int, seed: int, *, threads: int | None = None
+) -> np.ndarray:
+    """Execute t_tests pooled tests; returns the (N,) test potentials.
 
-    masks[t] is the bit mask of test t's coalition and utilities[t] its
-    utility, one evaluation per test.  potentials[i] = (Z / T) *
-    sum_t u_t beta_ti, so the difference estimate of s_i - s_j is
-    delta_u[i, j] = potentials[i] - potentials[j].
+    potentials[i] = (Z / T) * sum_t u_t beta_ti, one utility evaluation
+    per test, so the difference estimate of s_i - s_j is
+    delta_u[i, j] = potentials[i] - potentials[j].  Each chunk of tests
+    returns only its per-player sums, so no mask or utility outlives it.
     """
     check_count("t_tests", t_tests)
+    if plan.n_players != game.n_players:
+        raise ValueError("plan and game must have the same number of players")
     parts = ordered_chunk_map(
         lambda i, lo, hi: _test_chunk(game, plan, seed, i, lo, hi),
         chunk_ranges(t_tests, _TEST_CHUNK),
         resolve_threads(threads),
     )
-    masks = np.concatenate([p[0] for p in parts])
-    utils = np.concatenate([p[1] for p in parts])
-    potentials = (plan.z_norm / t_tests) * ordered_sum([p[2] for p in parts])
-    return masks, utils, potentials
+    return (plan.z_norm / t_tests) * ordered_sum(parts)
 
 
 def recover_feasibility(delta_u: np.ndarray, u_total: float, epsilon: float) -> ValueVector:
@@ -202,6 +199,9 @@ def recover_feasibility(delta_u: np.ndarray, u_total: float, epsilon: float) -> 
     delta_u + t*, read off the same walk table, are a feasible s, shifted
     to sum to u_total.  If t* exceeds eps / (2 sqrt(N)), the
     certified-recovery precondition failed and the result is flagged.
+    No estimator calls it, since the feasibility route is the closed form
+    on the test potentials; it is the exact solver for an arbitrary
+    antisymmetric difference matrix.
     """
     d = np.asarray(delta_u, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -324,7 +324,7 @@ def estimate_group_testing(
         t = t_tests if t_tests is not None else required_tests(
             game.n_players, epsilon, delta, game.range_r
         )
-        _, _, potentials = run_tests(game, plan, t, seed, threads=workers)
+        potentials = run_tests(game, plan, t, seed, threads=workers)
         return ValueVector(
             potentials + (game.u_total - potentials.sum()) / game.n_players,
             method="group-test-feasibility",
@@ -336,7 +336,7 @@ def estimate_group_testing(
     if recovery == "baseline":
         split = optimize_split_constants(game.n_players, epsilon, delta, game.range_r)
         t1 = t_tests if t_tests is not None else split.m1
-        _, _, potentials = run_tests(game, plan, t1, seed, threads=workers)
+        potentials = run_tests(game, plan, t1, seed, threads=workers)
         orderings = max(1, math.ceil(split.m2 / 2))
         s_star, baseline_evals = _baseline_player_value(game, orderings, seed, workers)
         values = s_star + (potentials - potentials[0])

@@ -5,7 +5,9 @@ Shapley oracle walks orderings directly from the definition, the
 max-violation oracle is a linear program, the sparse oracle is an
 exhaustive least-squares search, the Pascal-identity sum is summed
 term by term, and the KNN utility is a loop over one coalition at a time.
-``run_python`` runs a fresh interpreter on the package under test.
+``run_python`` runs a fresh interpreter on the package under test, and
+``drawn_tests`` redraws a group-test run's coalitions through the
+estimator's own draw, so the tests examine the tests it ran.
 """
 
 import itertools
@@ -21,6 +23,9 @@ from scipy.optimize import linprog
 
 import shapval
 from shapval import Game
+from shapval.games import _masks
+from shapval.group_testing import _TEST_CHUNK, _draw_tests
+from shapval.parallel import chunk_ranges
 
 
 def run_python(*args):
@@ -29,6 +34,21 @@ def run_python(*args):
         [str(Path(shapval.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     ))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def drawn_tests(game, plan, t_tests, seed):
+    """(masks, utilities) of the tests ``run_tests(game, plan, t_tests, seed)`` runs.
+
+    Utilities are evaluated chunk by chunk, as ``run_tests`` evaluates
+    them: a lone last row is summed by ``dot`` rather than ``gemv``, so
+    one call over every test could move the last bits.
+    """
+    masks, utils = [], []
+    for index, (lo, hi) in enumerate(chunk_ranges(t_tests, _TEST_CHUNK)):
+        chunk = _masks(_draw_tests(plan, seed, index, hi - lo))
+        masks.append(chunk)
+        utils.append(game.values_of_masks(chunk))
+    return np.concatenate(masks), np.concatenate(utils)
 
 
 def brute_force_shapley(n, mask_utility):

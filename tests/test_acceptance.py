@@ -36,14 +36,18 @@ from shapval import (
     recover_feasibility,
     required_permutations,
     required_tests,
-    run_tests,
     stability_value_gap_bound,
     uniform_division,
 )
 from shapval.cli import ExperimentConfig, run_experiment
 from shapval.results import write_record
 
-from conftest import exhaustive_one_sparse, one_sparse_recovery_instances, pascal_identity_lhs
+from conftest import (
+    drawn_tests,
+    exhaustive_one_sparse,
+    one_sparse_recovery_instances,
+    pascal_identity_lhs,
+)
 from test_analytics import lambda_stable_game, separable_logistic_data
 
 
@@ -139,7 +143,7 @@ def test_criterion_04_permutation_sampling_guarantee():
 def _pair_statistics(game, t, seed):
     """Per-test statistics Z * u * (beta_i - beta_j) for all ordered pairs i < j."""
     plan = build_plan(game.n_players)
-    masks, utils, _ = run_tests(game, plan, t, seed=seed)
+    masks, utils = drawn_tests(game, plan, t, seed)
     membership = ((masks[:, None] >> np.arange(game.n_players)) & 1).astype(np.float64)
     return plan, membership, utils
 
@@ -175,7 +179,7 @@ def test_criterion_06_group_testing_end_to_end():
         hits += float(np.linalg.norm(vv.values - truth)) <= 0.5
     # empirical test-size frequencies against the sampling distribution
     plan10 = build_plan(10)
-    masks, _, _ = run_tests(make_random_game(10, seed=62), plan10, 100_000, seed=5)
+    masks, _ = drawn_tests(make_random_game(10, seed=62), plan10, 100_000, seed=5)
     sizes = np.bitwise_count(masks)
     counts = np.bincount(sizes, minlength=10)[1:10]
     expected = 100_000 * plan10.q

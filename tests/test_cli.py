@@ -335,13 +335,21 @@ def test_console_entry_point(tmp_path):
     assert result.stdout.startswith("player,value")
 
 
-def test_knn_imports_only_the_closed_form_path(tmp_path):
+@pytest.mark.parametrize(
+    "argv, unused_here",
+    [
+        (["knn", "--train", "{train}", "--test", "{test}", "--k", "1"], ()),
+        (["exact", "--game", "glove"], ("shapval.knn",)),
+    ],
+    ids=["knn", "exact"],
+)
+def test_knn_imports_only_the_closed_form_path(tmp_path, argv, unused_here):
     train, test = write_knn_files(tmp_path)
     unused = (
         "shapval.analytics", "shapval.compressive", "shapval.group_testing",
-        "shapval.permutation", "shapval.rng", "concurrent.futures",
+        "shapval.permutation", "shapval.rng", "concurrent.futures", *unused_here,
     )
-    argv = ["knn", "--train", str(train), "--test", str(test), "--k", "1"]
+    argv = [arg.format(train=train, test=test) for arg in argv]
     result = run_python("-c", (
         "import sys\n"
         "import shapval.cli\n"

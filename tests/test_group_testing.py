@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from shapval import (
 )
 from shapval.group_testing import _TEST_CHUNK, _baseline_budgets, bennett_h
 from shapval.permutation import ORDERING_CHUNK
-from conftest import has_negative_cycle, lp_max_violation
+from conftest import drawn_tests, has_negative_cycle, lp_max_violation
 
 
 def random_antisymmetric(g, n):
@@ -44,7 +45,7 @@ def assert_uniform_k_subsets(n, t, seed):
     The bound is the chi-square quantile at a 1e-6 false-alarm rate per
     size, fixed before any draw was looked at.
     """
-    masks, _, _ = run_tests(make_additive_game(np.ones(n)), build_plan(n), t, seed=seed)
+    masks, _ = drawn_tests(make_additive_game(np.ones(n)), build_plan(n), t, seed)
     sizes = np.bitwise_count(masks)
     for k in range(1, n):
         subsets, counts = np.unique(masks[sizes == k], return_counts=True)
@@ -125,13 +126,14 @@ class TestRunTests:
         g = make_glove_game()
         plan = build_plan(3)
         before = g.eval_count
-        masks, utils, potentials = run_tests(g, plan, 500, seed=3)
+        potentials = run_tests(g, plan, 500, seed=3)
         assert g.eval_count - before == 500
+        assert potentials.shape == (3,)
+        masks, utils = drawn_tests(g, plan, 500, seed=3)
         assert masks.shape == utils.shape == (500,)
         sizes = np.bitwise_count(masks[:50])
         assert np.all((1 <= sizes) & (sizes <= 2))
         assert np.all((0.0 <= utils[:50]) & (utils[:50] <= 1.0))
-        assert potentials.shape == (3,)
 
     def test_count_must_be_a_positive_integer(self):
         g = make_glove_game()
@@ -140,17 +142,42 @@ class TestRunTests:
                 run_tests(g, build_plan(3), count, seed=3)
         assert g.eval_count == 0
 
+    def test_plan_must_match_the_game(self):
+        g = make_glove_game()
+        for n in (2, 4):
+            with pytest.raises(ValueError):
+                run_tests(g, build_plan(n), 10, seed=3)
+        assert g.eval_count == 0
+
+    def test_memory_does_not_grow_with_the_test_count(self):
+        # a chunk keeps only its 63 sums, so 18 more chunks add ~11 kB; keeping
+        # every test's mask and utility (16 B per test) would add ~1.2 MB
+        game = make_additive_game(np.ones(63))
+        plan = build_plan(63)
+        run_tests(game, plan, 2 * _TEST_CHUNK, seed=4, threads=1)
+
+        def peak(chunks):
+            tracemalloc.start()
+            try:
+                run_tests(game, plan, chunks * _TEST_CHUNK, seed=4, threads=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20) - peak(2) < 0.5 * 2**20
+
     def test_per_test_statistic_is_bounded(self):
         g = make_random_game(6, seed=4)
         plan = build_plan(6)
-        masks, utils, _ = run_tests(g, plan, 2000, seed=8)
+        masks, utils = drawn_tests(g, plan, 2000, seed=8)
         stats = plan.z_norm * utils * (member(masks, 0) - member(masks, 5))
         assert np.all(np.abs(stats) <= plan.z_norm * g.range_r + 1e-12)
 
     def test_difference_matrix_antisymmetric(self):
         g = make_random_game(5, seed=6)
         plan = build_plan(5)
-        masks, utils, potentials = run_tests(g, plan, 300, seed=2)
+        potentials = run_tests(g, plan, 300, seed=2)
+        masks, utils = drawn_tests(g, plan, 300, seed=2)
         weighted = np.array([member(masks, i) @ utils for i in range(5)])
         assert_allclose(potentials, (plan.z_norm / 300) * weighted, rtol=1e-12, atol=1e-12)
         delta_u = potentials[:, None] - potentials[None, :]
@@ -161,7 +188,8 @@ class TestRunTests:
         g = make_symmetric_game(6)
         plan = build_plan(6)
         t = 40_000
-        masks, utils, potentials = run_tests(g, plan, t, seed=5)
+        potentials = run_tests(g, plan, t, seed=5)
+        masks, utils = drawn_tests(g, plan, t, seed=5)
         # exchangeable players: the pair statistic is centered at zero
         stats = plan.z_norm * utils * (member(masks, 1) - member(masks, 4))
         stderr = stats.std(ddof=1) / math.sqrt(t)
@@ -171,7 +199,7 @@ class TestRunTests:
         g = make_glove_game()
         plan = build_plan(3)
         t = 60_000
-        masks, utils, _ = run_tests(g, plan, t, seed=11)
+        masks, utils = drawn_tests(g, plan, t, seed=11)
         stats = plan.z_norm * utils * (member(masks, 0) - member(masks, 1))
         exact = exact_shapley_difference(g, 0, 1)
         stderr = stats.std(ddof=1) / math.sqrt(t)
@@ -183,8 +211,7 @@ class TestRunTests:
         plan = build_plan(6)
         one = run_tests(g, plan, 9000, seed=1, threads=1)
         eight = run_tests(g, plan, 9000, seed=1, threads=8)
-        for a, b in zip(one, eight):
-            assert np.array_equal(a, b)
+        assert np.array_equal(one, eight)
 
     def test_activation_is_a_uniform_k_subset(self):
         # 40 000 tests over ten 4096-test chunks at N=5
@@ -201,7 +228,7 @@ class TestRunTests:
         # band is its 1e-6 and 1 - 1e-6 quantiles, fixed before any draw was
         # looked at
         n, t = 63, 100_000
-        masks, _, _ = run_tests(make_additive_game(np.ones(n)), build_plan(n), t, seed=29)
+        masks, _ = drawn_tests(make_additive_game(np.ones(n)), build_plan(n), t, seed=29)
         sizes = np.bitwise_count(masks)
         for k in (1, 2, 61, 62):
             rows = masks[sizes == k]
@@ -216,8 +243,7 @@ class TestRunTests:
         t = 3 * _TEST_CHUNK + 17
         one = run_tests(g, plan, t, seed=2, threads=1)
         two = run_tests(g, plan, t, seed=2, threads=2)
-        for a, b in zip(one, two):
-            assert a.tobytes() == b.tobytes()
+        assert one.tobytes() == two.tobytes()
 
 
 class TestRecoverFeasibility:
@@ -334,7 +360,7 @@ class TestEstimator:
     def test_feasibility_route_is_the_closed_form_at_63_players(self):
         w = np.random.default_rng(63).uniform(0.5, 1.5, size=63)
         game = make_additive_game(w / w.sum())
-        _, _, potentials = run_tests(game, build_plan(63), 20_000, seed=3)
+        potentials = run_tests(game, build_plan(63), 20_000, seed=3)
         vv = estimate_group_testing(game, 0.1, 0.1, seed=3, t_tests=20_000)
         pairwise = vv.values[:, None] - vv.values[None, :]
         assert np.max(np.abs(pairwise - (potentials[:, None] - potentials[None, :]))) <= 1e-12

@@ -34,6 +34,8 @@ from shapval import (
 from shapval.cli import EXIT_OK, main
 from shapval.games import utility_table
 from shapval.group_testing import _baseline_player_value, build_plan, run_tests
+
+from conftest import drawn_tests
 from shapval.knn import KnnInstance, knn_game
 
 
@@ -125,8 +127,9 @@ def test_decoded_utilities(games):
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_group_testing(games, threads):
     # 10 001 tests: two full 4096-test chunks and a partial one
-    additive = games[0]
-    _, utils, potentials = run_tests(additive, build_plan(63), 10_001, 21, threads=threads)
+    additive, plan = games[0], build_plan(63)
+    potentials = run_tests(additive, plan, 10_001, 21, threads=threads)
+    _, utils = drawn_tests(additive, plan, 10_001, 21)
     assert digest(np.concatenate([utils, potentials])) == (
         "8ecd7a73df8ec9b7ec6fc16fbe40aef8ebc87cd70cd7096af75a2a49c5133a23"
     )
