@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ShapvalError
 from .games import Game, ValueVector
-from .parallel import check_count, chunk_ranges, ordered_chunk_map, ordered_sum, resolve_threads
+from .parallel import check_count, chunk_ranges, ordered_chunk_map
 from .permutation import ORDERING_CHUNK, _check_accuracy, marginal_chunk
 from .rng import stream
 
@@ -104,11 +104,9 @@ def compressive_sample(
             )
         return y.sum(axis=0)
 
-    parts = ordered_chunk_map(
-        chunk_sum, chunk_ranges(t_permutations, ORDERING_CHUNK), resolve_threads(threads)
-    )
+    total = ordered_chunk_map(chunk_sum, chunk_ranges(t_permutations, ORDERING_CHUNK), threads)
     return CompressiveState(
-        y_bar=ordered_sum(parts) / t_permutations,
+        y_bar=total / t_permutations,
         s_bar=game.u_total / game.n_players,
         t_permutations=t_permutations,
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import Game, ValueVector, _masks
-from .parallel import check_count, chunk_ranges, ordered_chunk_map, ordered_sum, resolve_threads
+from .parallel import check_count, chunk_ranges, ordered_chunk_map
 from .permutation import ORDERING_CHUNK, _check_accuracy, sample_orderings
 from .rng import stream
 
@@ -178,12 +178,12 @@ def run_tests(
     check_count("t_tests", t_tests)
     if plan.n_players != game.n_players:
         raise ValueError("plan and game must have the same number of players")
-    parts = ordered_chunk_map(
+    total = ordered_chunk_map(
         lambda i, lo, hi: _test_chunk(game, plan, seed, i, lo, hi),
         chunk_ranges(t_tests, _TEST_CHUNK),
-        resolve_threads(threads),
+        threads,
     )
-    return (plan.z_norm / t_tests) * ordered_sum(parts)
+    return (plan.z_norm / t_tests) * total
 
 
 def recover_feasibility(delta_u: np.ndarray, u_total: float, epsilon: float) -> ValueVector:
@@ -270,28 +270,28 @@ def optimize_split_constants(
 
 
 def _baseline_player_value(
-    game: Game, t_orderings: int, seed: int, threads: int
+    game: Game, t_orderings: int, seed: int, threads: int | None
 ) -> tuple[float, int]:
     """Direct estimate of player 0's value from sampled orderings, and the
     utility evaluations it took.
 
     Only the two prefixes around player 0 are evaluated, so one ordering
-    costs two utility evaluations, or one when player 0 comes first.
+    costs two utility evaluations, or one when player 0 comes first.  A
+    chunk returns its gain and its evaluations; the count is exact in float64.
     """
     n = game.n_players
 
-    def chunk_sum(i: int, lo: int, hi: int) -> tuple[np.ndarray, int]:
+    def chunk_sum(i: int, lo: int, hi: int) -> np.ndarray:
         perms = sample_orderings(seed, "baseline-perm", i, hi - lo, n)
         prefixes = np.cumsum(1 << perms, axis=1)
         pos = np.argmax(perms == 0, axis=1)
         with_mask = prefixes[np.arange(hi - lo), pos]
         before_mask = with_mask - 1  # player 0 carries bit value 1
         gain = game.values_of_masks(with_mask) - game.values_of_masks(before_mask)
-        return gain.sum(), hi - lo + int(np.count_nonzero(before_mask))
+        return np.array([gain.sum(), hi - lo + np.count_nonzero(before_mask)])
 
-    parts = ordered_chunk_map(chunk_sum, chunk_ranges(t_orderings, ORDERING_CHUNK), threads)
-    total = ordered_sum([gain for gain, _ in parts])
-    return float(total) / t_orderings, sum(evals for _, evals in parts)
+    gain, evals = ordered_chunk_map(chunk_sum, chunk_ranges(t_orderings, ORDERING_CHUNK), threads)
+    return float(gain) / t_orderings, int(evals)
 
 
 def estimate_group_testing(
@@ -318,13 +318,13 @@ def estimate_group_testing(
     player: max_i |s_hat_i - s_i| <= epsilon (l-infinity norm) with
     probability 1 - delta.
     """
-    workers = resolve_threads(threads)
+    _check_accuracy(game.range_r, epsilon, delta)
     plan = build_plan(game.n_players)
     if recovery == "feasibility":
         t = t_tests if t_tests is not None else required_tests(
             game.n_players, epsilon, delta, game.range_r
         )
-        potentials = run_tests(game, plan, t, seed, threads=workers)
+        potentials = run_tests(game, plan, t, seed, threads=threads)
         return ValueVector(
             potentials + (game.u_total - potentials.sum()) / game.n_players,
             method="group-test-feasibility",
@@ -336,9 +336,9 @@ def estimate_group_testing(
     if recovery == "baseline":
         split = optimize_split_constants(game.n_players, epsilon, delta, game.range_r)
         t1 = t_tests if t_tests is not None else split.m1
-        potentials = run_tests(game, plan, t1, seed, threads=workers)
+        potentials = run_tests(game, plan, t1, seed, threads=threads)
         orderings = max(1, math.ceil(split.m2 / 2))
-        s_star, baseline_evals = _baseline_player_value(game, orderings, seed, workers)
+        s_star, baseline_evals = _baseline_player_value(game, orderings, seed, threads)
         values = s_star + (potentials - potentials[0])
         return ValueVector(
             values,

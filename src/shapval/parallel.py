@@ -1,11 +1,12 @@
 """Deterministic chunk-level parallelism.
 
 Work is split into fixed chunks, each drawing its randomness from one
-stream keyed on its chunk index; partial results are merged in chunk
-order, so output is bitwise identical for every worker count.  Chunk
-boundaries depend only on the total and the chunk size, which makes the
-chunk size part of the output contract: for a given seed, changing it
-changes the values.
+stream keyed on its chunk index; each chunk's result is added to a
+running total once every lower-index chunk's has been, so the total is
+bitwise identical for every worker count and no more results are held
+than finished out of order.  Chunk boundaries depend only on the total
+and the chunk size, which makes the chunk size part of the output
+contract: for a given seed, changing it changes the values.
 
 A call with ``threads`` workers runs chunks on the calling thread and
 on up to ``threads - 1`` helper threads (named ``shapval…``) of one
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numbers
 import os
 import threading
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -29,8 +30,6 @@ from .errors import ConfigError
 
 if TYPE_CHECKING:
     from concurrent.futures import Future, ThreadPoolExecutor
-
-T = TypeVar("T")
 
 THREADS_ENV = "SHAPVAL_THREADS"
 
@@ -98,28 +97,32 @@ def _start_helpers(work: Callable[[], None], count: int) -> list[Future]:
 
 
 def ordered_chunk_map(
-    fn: Callable[[int, int, int], T],
+    fn: Callable[[int, int, int], np.ndarray],
     ranges: Sequence[tuple[int, int]],
-    threads: int,
-) -> list[T]:
-    """Apply fn(chunk_index, lo, hi) to every chunk; results in chunk order.
+    threads: int | None = None,
+) -> np.ndarray:
+    """Float64 sum of fn(chunk_index, lo, hi) over at least one chunk, in chunk order.
 
-    With more than one thread, chunks are claimed in increasing index
-    order.  Once a chunk fails no new chunk is claimed; the chunks
-    already running finish and the lowest-index failure is raised, which
-    is the error one thread would have raised.  No chunk is running when
-    the call returns or raises.
+    It keeps its map name because the benchmark's tracer patches it by name.
+    ``threads`` goes through ``resolve_threads``.  Chunks are claimed in
+    increasing index order, and a finished result waits in ``pending``
+    only until every lower index has been added: the additions of
+    ``total = parts[0]; total += parts[1]; ...``, in that order, since
+    floating-point addition is not associative.  Once a chunk fails no
+    new chunk is claimed; the chunks already running finish and the
+    lowest-index failure is raised, which is the error one thread would
+    have raised.  No chunk is running when the call returns or raises.
     """
+    threads = resolve_threads(threads)
     n = len(ranges)
-    if threads <= 1 or n <= 1:
-        return [fn(i, lo, hi) for i, (lo, hi) in enumerate(ranges)]
-    results: list = [None] * n
+    pending: dict[int, np.ndarray] = {}
     errors: dict[int, BaseException] = {}
     lock = threading.Lock()
-    claimed = 0
+    claimed = added = 0
+    total = None
 
     def work() -> None:
-        nonlocal claimed
+        nonlocal claimed, added, total
         while True:
             with lock:
                 if errors or claimed == n:
@@ -128,11 +131,20 @@ def ordered_chunk_map(
                 claimed += 1
             lo, hi = ranges[i]
             try:
-                results[i] = fn(i, lo, hi)
+                part = fn(i, lo, hi)
             except BaseException as exc:  # raised by the caller below
                 with lock:
                     errors[i] = exc
                 return
+            with lock:
+                pending[i] = part
+                while added in pending:
+                    part = pending.pop(added)
+                    if added == 0:
+                        total = np.array(part, dtype=np.float64)
+                    else:
+                        total += part
+                    added += 1
 
     helpers = _start_helpers(work, min(threads, n) - 1)
     try:
@@ -145,16 +157,4 @@ def ordered_chunk_map(
                 helper.result()
     if errors:
         raise errors[min(errors)]
-    return results
-
-
-def ordered_sum(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum per-chunk results in chunk order.
-
-    Floating-point addition is not associative; a fixed order is what
-    keeps totals identical for every worker count.
-    """
-    total = np.array(parts[0], dtype=np.float64)
-    for p in parts[1:]:
-        total += p
     return total

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import Game, ValueVector
-from .parallel import check_count, chunk_ranges, ordered_chunk_map, ordered_sum, resolve_threads
+from .parallel import check_count, chunk_ranges, ordered_chunk_map
 from .rng import stream
 
 __all__ = [
@@ -38,14 +38,15 @@ __all__ = [
 ORDERING_CHUNK = 256
 
 
-def _check_accuracy(range_r: float, epsilon: float, delta: float) -> None:
+def _check_accuracy(range_r: float | None, epsilon: float | None, delta: float | None) -> None:
     """Raise ValueError, naming the argument, unless r and epsilon are
-    positive and finite and delta lies in (0, 1).  Shared by every
-    function that sizes a budget from (epsilon, delta)."""
+    positive and finite and delta lies in (0, 1); ``None`` is not checked.
+    Shared by every function that sizes a budget from (epsilon, delta)
+    and by every budget that carries them."""
     for name, val in (("range_r", range_r), ("epsilon", epsilon)):
-        if not (math.isfinite(val) and val > 0):
+        if val is not None and not (math.isfinite(val) and val > 0):
             raise ValueError(f"{name} must be positive and finite, got {val!r}")
-    if not 0 < delta < 1:
+    if delta is not None and not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
 
 
@@ -75,6 +76,7 @@ class PermutationBudget:
 
     def __post_init__(self) -> None:
         check_count("t_permutations", self.t_permutations)
+        _check_accuracy(self.range_r, self.epsilon, self.delta)
 
     @classmethod
     def from_accuracy(
@@ -150,13 +152,13 @@ def estimate_permutation(
 ) -> ValueVector:
     """Average marginal contributions over ``budget.t_permutations`` orderings."""
     t = budget.t_permutations
-    parts = ordered_chunk_map(
+    total = ordered_chunk_map(
         lambda i, lo, hi: _marginal_totals(game, seed, "perm", i, hi - lo),
         chunk_ranges(t, ORDERING_CHUNK),
-        resolve_threads(threads),
+        threads,
     )
     return ValueVector(
-        ordered_sum(parts) / t,
+        total / t,
         method="perm",
         eval_count=int(t) * game.n_players,
         seed=seed,

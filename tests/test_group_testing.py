@@ -411,6 +411,15 @@ class TestEstimator:
         two = estimate_group_testing(g, 0.2, 0.1, seed=4, recovery="baseline", threads=2)
         assert np.array_equal(one.values, two.values)
 
+    @pytest.mark.parametrize(
+        "name, epsilon, delta",
+        [("epsilon", -0.3, 0.1), ("epsilon", math.nan, 0.1), ("delta", 0.3, 2.0), ("delta", 0.3, 0.0)],
+    )
+    @pytest.mark.parametrize("recovery", ["feasibility", "baseline"])
+    def test_accuracy_checked_when_the_test_count_is_given(self, recovery, name, epsilon, delta):
+        with pytest.raises(ValueError, match=name):
+            estimate_group_testing(make_glove_game(), epsilon, delta, seed=0, recovery=recovery, t_tests=100)
+
     def test_unknown_recovery_rejected(self):
         with pytest.raises(ValueError):
             estimate_group_testing(make_glove_game(), 0.5, 0.1, seed=0, recovery="other")

@@ -1,15 +1,20 @@
-"""The ``ordered_chunk_map`` contract with more than one worker thread.
+"""The ``ordered_chunk_map`` contract.
 
 Chunks run on the calling thread and on helper threads of one shared
-pool.  Results come back in chunk order, the lowest-index failure is the
-error raised, nothing is left running when the call ends, nested calls
-and forked children complete, and repeated calls start no new threads.
+pool.  Results are added in chunk order, whatever order they finish in,
+and only those that finish out of order are held; the lowest-index
+failure is the error raised, nothing is left running when the call
+ends, nested calls and forked children complete, and repeated calls
+start no new threads.  The layer caps explicit thread counts by
+``SHAPVAL_THREADS``, so every test here runs with the variable unset.
 """
 
+import functools
 import multiprocessing
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +26,11 @@ from shapval.permutation import ORDERING_CHUNK
 
 THREADS = [2, 3]
 JOIN_TIMEOUT = 60.0
+
+
+@pytest.fixture(autouse=True)
+def no_thread_cap(monkeypatch):
+    monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
 
 
 class Tracker:
@@ -61,22 +71,51 @@ def run_bounded(target):
     return out["value"]
 
 
-@pytest.mark.parametrize("threads", THREADS)
-def test_results_in_chunk_order_when_later_chunks_finish_first(threads):
-    ranges = chunk_ranges(37, 4)
+# 1 + 2**53 rounds back to 2**53, so over 8 chunks these fold to 0.0 in
+# index order and to 4.0 in reverse: the total shows the order of the additions
+ORDER_SENSITIVE = [1.0, 2.0**53, 1.0, -(2.0**53)]
+
+
+@pytest.mark.parametrize("threads", [1, *THREADS])
+def test_results_added_in_chunk_order_when_later_chunks_finish_first(threads):
+    ranges = chunk_ranges(30, 4)
     finished = []
+    last_done = threading.Event()
 
     def fn(i, lo, hi):
-        time.sleep(0.003 * (len(ranges) - i))
+        if i == 0 and threads > 1:  # chunk 0 finishes after every other chunk
+            assert last_done.wait(JOIN_TIMEOUT)
         finished.append(i)
-        return i, lo, hi
+        if i == len(ranges) - 1:
+            last_done.set()
+        return np.array([ORDER_SENSITIVE[i % 4], hi - lo])
 
+    parts = [np.array([ORDER_SENSITIVE[i % 4], hi - lo]) for i, (lo, hi) in enumerate(ranges)]
+    in_order = functools.reduce(lambda a, b: a + b, parts)
+    assert in_order.tobytes() != functools.reduce(lambda a, b: a + b, parts[::-1]).tobytes()
     got = ordered_chunk_map(fn, ranges, threads)
-    assert got == [(i, lo, hi) for i, (lo, hi) in enumerate(ranges)]
+    assert got.dtype == np.float64
+    assert got.tobytes() == in_order.tobytes()
     assert sorted(finished) == list(range(len(ranges)))
+    assert finished[-1] == (len(ranges) - 1 if threads == 1 else 0)
 
 
-@pytest.mark.parametrize("threads", THREADS)
+def chunk_peak_bytes(chunks):
+    """tracemalloc peak of a one-thread call whose one-index chunks each return 80 kB."""
+    tracemalloc.start()
+    try:
+        ordered_chunk_map(lambda i, lo, hi: np.ones(10_000), chunk_ranges(chunks, 1), 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_the_chunk_count():
+    # a list of every chunk's result would hold 400 * 80 kB = 32 MB
+    assert chunk_peak_bytes(400) - chunk_peak_bytes(4) < 1_000_000
+
+
+@pytest.mark.parametrize("threads", [1, *THREADS])
 def test_lowest_index_failure_is_raised_and_nothing_is_left_running(threads):
     # chunk 2 fails at once, chunk 1 only after a wait: chunk 1's error is
     # the one a single thread raises
@@ -122,19 +161,19 @@ def test_no_chunk_starts_after_a_failure(threads):
 
 @pytest.mark.parametrize("threads", THREADS)
 def test_nested_calls_complete(threads):
-    inner = chunk_ranges(23, 4)
+    inner = chunk_ranges(30, 4)  # 8 chunks, so ORDER_SENSITIVE folds to 0.0 in order
 
     def outer_chunk(i, lo, hi):
-        parts = ordered_chunk_map(lambda j, a, b: (i, j, b - a), inner, threads=2)
-        return sum(size for _, _, size in parts), parts
+        fold, owner, size = ordered_chunk_map(
+            lambda j, a, b: np.array([ORDER_SENSITIVE[j % 4], i, b - a]), inner, threads=2
+        )
+        assert (fold, owner, size) == (0.0, 8 * i, 30)
+        return np.array([i, 1])
 
     def call():
         return ordered_chunk_map(outer_chunk, chunk_ranges(7, 1), threads)
 
-    got = run_bounded(call)
-    assert [total for total, _ in got] == [23] * 7
-    for i, (_, parts) in enumerate(got):
-        assert [(o, j) for o, j, _ in parts] == [(i, j) for j in range(len(inner))]
+    assert run_bounded(call).tolist() == [sum(range(7)), 7]
 
 
 def test_repeated_calls_start_no_new_threads():
@@ -143,7 +182,7 @@ def test_repeated_calls_start_no_new_threads():
         ordered_chunk_map(lambda i, lo, hi: i, ranges, threads)
     before = threading.active_count()
     for k in range(200):
-        assert ordered_chunk_map(lambda i, lo, hi: hi - lo, ranges, THREADS[k % 2]) == [2, 2, 2, 2, 1]
+        assert ordered_chunk_map(lambda i, lo, hi: hi - lo, ranges, THREADS[k % 2]) == 9
     # the pool may still spawn up to its size lazily, but not one per call
     assert threading.active_count() <= before + max(THREADS) - 1
     names = [t.name for t in threading.enumerate()]
@@ -151,10 +190,15 @@ def test_repeated_calls_start_no_new_threads():
     assert not any(name.startswith("ThreadPoolExecutor") for name in names)
 
 
-@pytest.mark.parametrize("threads", THREADS)
+def nap(i, lo, hi):
+    time.sleep(0.005)
+    return np.zeros(1)
+
+
+@pytest.mark.parametrize("threads", [1, *THREADS])
 def test_calling_thread_runs_chunks(threads):
     tracker = Tracker()
-    ordered_chunk_map(tracker.wrap(lambda i, lo, hi: time.sleep(0.005)), chunk_ranges(12, 1), threads)
+    ordered_chunk_map(tracker.wrap(nap), chunk_ranges(12, 1), threads)
     assert threading.get_ident() in tracker.threads
     assert sorted(tracker.started) == list(range(12))
 
@@ -170,7 +214,7 @@ def test_every_chunk_runs_once_under_fast_thread_switching():
             got = run_bounded(
                 lambda: ordered_chunk_map(tracker.wrap(lambda i, lo, hi: lo), chunk_ranges(2000, 1), threads)
             )
-            assert got == list(range(2000))
+            assert got == sum(range(2000))
             assert sorted(tracker.started) == list(range(2000))
     finally:
         sys.setswitchinterval(old)
@@ -192,8 +236,7 @@ def _child_values(conn):
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
-def test_forked_child_after_a_threaded_call(monkeypatch):
-    monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
+def test_forked_child_after_a_threaded_call():
     parent = group_test_values(2)
     assert any(t.name.startswith("shapval") for t in threading.enumerate())
     ctx = multiprocessing.get_context("fork")
@@ -213,9 +256,7 @@ def test_forked_child_after_a_threaded_call(monkeypatch):
     assert got == parent
 
 
-def test_estimators_identical_at_one_two_and_three_threads(monkeypatch):
-    monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
-
+def test_estimators_identical_at_one_two_and_three_threads():
     def run(threads):
         t = 3 * ORDERING_CHUNK + 5
         return [

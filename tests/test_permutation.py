@@ -28,7 +28,7 @@ from shapval import (
     sample_permutation_marginals,
 )
 from shapval.errors import ConfigError
-from shapval.parallel import chunk_ranges, ordered_chunk_map, ordered_sum, resolve_threads
+from shapval.parallel import chunk_ranges, ordered_chunk_map, resolve_threads
 from shapval.permutation import ORDERING_CHUNK, marginal_chunk, sample_orderings
 
 
@@ -65,8 +65,10 @@ class TestRequiredPermutations:
             required_permutations(1.0, 10, 0.1, 1.5)
 
 
-# every function that sizes a budget from (epsilon, delta), called as (r, epsilon, delta)
+# every function that sizes a budget from (epsilon, delta), and the budget
+# that carries them, called as (r, epsilon, delta)
 SIZERS = {
+    "PermutationBudget": lambda r, eps, delta: PermutationBudget(10, epsilon=eps, delta=delta, range_r=r),
     "required_permutations": lambda r, eps, delta: required_permutations(r, 10, eps, delta),
     "required_tests": lambda r, eps, delta: required_tests(10, eps, delta, r),
     "optimize_split_constants": lambda r, eps, delta: optimize_split_constants(10, eps, delta, r),
@@ -101,6 +103,10 @@ class TestEstimate:
             with pytest.raises(ValueError, match="t_permutations"):
                 PermutationBudget(count)
         assert PermutationBudget(np.int64(3)).t_permutations == 3
+
+    def test_accuracy_labels_are_optional(self):
+        assert PermutationBudget(10, epsilon=0.5).delta is None
+        assert PermutationBudget(10, epsilon=0.5, delta=0.1, range_r=2.0).range_r == 2.0
 
     def test_glove_within_l2_guarantee(self):
         g = make_glove_game()
@@ -240,14 +246,14 @@ class TestChunkTotals:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("t", [1, 7, 256, 300, 777])
     @pytest.mark.parametrize("name", list(IDENTITY_GAMES))
-    def test_estimate_is_the_sum_of_marginal_blocks(self, identity_games, name, t, threads):
+    def test_estimate_is_the_sum_of_marginal_blocks(self, identity_games, name, t, threads, monkeypatch):
+        monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
         game = identity_games[name]
-        parts = ordered_chunk_map(
+        expected = ordered_chunk_map(
             lambda i, lo, hi: marginal_chunk(game, 21, "perm", i, hi - lo).sum(axis=0),
             chunk_ranges(t, ORDERING_CHUNK),
             threads,
-        )
-        expected = ordered_sum(parts) / t
+        ) / t
         got = estimate_permutation(game, PermutationBudget(t), seed=21, threads=threads).values
         assert got.tobytes() == expected.tobytes()
 
