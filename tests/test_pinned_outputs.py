@@ -2,10 +2,11 @@
 
 Permutation sampling (also on a tie-heavy KNN game, a 16-player random
 table and 1- and 2-player games), compressive sampling (also on a KNN
-game), group testing (both recovery routes and the test potentials),
-the baseline player's direct estimate, the utilities decoded from masks
-by ``games._membership`` (also across several row blocks), a full
-utility table and the values CSV of ``shapval knn`` are pinned, so a
+game), group testing (both recovery routes and the test potentials;
+the drawn tests and potentials also at N = 2, 3, 17 and 40), the
+baseline player's direct estimate, the utilities decoded from masks by
+``games._membership`` (also across several row blocks), a full utility
+table and the values CSV of ``shapval knn`` are pinned, so a
 change to the shared sampling, mask, sort, loading or writing code that
 moves any of them, even in the last bit, fails here.  Recorded with
 numpy 2.4 on x86-64; a different BLAS may round the additive and KNN
@@ -33,7 +34,8 @@ from shapval import (
 )
 from shapval.cli import EXIT_OK, main
 from shapval.games import utility_table
-from shapval.group_testing import _baseline_player_value, build_plan, run_tests
+from shapval.group_testing import _TEST_CHUNK, _baseline_player_value, _draw_tests, build_plan, run_tests
+from shapval.parallel import chunk_ranges
 
 from conftest import drawn_tests
 from shapval.knn import KnnInstance, knn_game
@@ -140,6 +142,43 @@ def test_group_testing(games, threads):
     assert digest(np.concatenate(vals)) == (
         "bd4dc812bce496387b54be3c89f2af446f4419b9a5c2a7c70ef36e815e27afd0"
     )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "n, drawn_sha, potentials_sha",
+    [
+        (
+            2,
+            "b43a589682a523dcd591fe979c9220ffc310c3e3695740ad8aa9f6295c88abb1",
+            "dfb3356ecb2ea9e664071593e5724aca145e4a339c1a4269c282ba8082575530",
+        ),
+        (
+            3,
+            "f2eb91ff4f87867fd651cd1e5c966f877ebd216d3c15bebd8e48b7d432137b0e",
+            "f06b46082f4d28157ad528eec5fd2a5ece864294aeca8c9691b778a9c0b7e890",
+        ),
+        (
+            17,
+            "b3c414ec4fea1d3276de3d0c4587e6de3bc236c5c09c88f9d0e7fd3a162dfb02",
+            "fe5cb864a9f26649c589df96d801a7027982868b4daf86ec7bdf57ac34a5ab35",
+        ),
+        (
+            40,
+            "c19f1c5747a0850465b1cef2eab15e69f8eb5b21657bb4633e2567dd7d00a7da",
+            "42c0787bf3eb54c56d96e51f974347021751f60cc8a50a930a59390d742cbc2d",
+        ),
+    ],
+)
+def test_group_testing_below_63_players(n, drawn_sha, potentials_sha, threads):
+    # 5 000 tests: one full chunk and a partial one; the test-size draw
+    # depends on N, so the membership bytes are pinned at several N
+    game = make_additive_game(np.random.default_rng(2500 + n).uniform(0.0, 1.0, n))
+    plan = build_plan(n)
+    ranges = chunk_ranges(5_000, _TEST_CHUNK)
+    member = np.concatenate([_draw_tests(plan, 25, i, hi - lo) for i, (lo, hi) in enumerate(ranges)])
+    assert hashlib.sha256(member.tobytes()).hexdigest() == drawn_sha
+    assert digest(run_tests(game, plan, 5_000, 25, threads=threads)) == potentials_sha
 
 
 def test_decoded_utilities_across_blocks(games):
