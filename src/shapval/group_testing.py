@@ -9,12 +9,15 @@ then recovered either by fitting a vector to the differences under the
 budget constraint (feasibility route, in closed form) or by anchoring on
 one directly-estimated baseline player.  Tests are streamed: a run
 returns only the N potentials, and no coalition outlives its chunk.
+A chunk reads its sizes from a bucketed CDF and orders its rows by radix
+sort, with the values of ``Generator.choice`` and an int64 sort.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,10 +63,38 @@ class GroupTestPlan:
     q_tot: float
 
     def __post_init__(self) -> None:
-        if abs(float(self.q.sum()) - 1.0) > 1e-12:
+        if self.q.shape != (self.n_players - 1,):
+            raise ValueError("q must hold one probability per size 1..n_players-1")
+        if not np.all(self.q > 0.0):  # NaN compares false, so it fails here
+            raise ValueError("test-size probabilities must be positive")
+        if not abs(float(self.q.sum()) - 1.0) <= 1e-12:
             raise ValueError("test-size probabilities must sum to 1")
+        if not 0.0 < self.z_norm < math.inf:
+            raise ValueError("z_norm must be positive and finite")
         if not 0.0 <= self.q_tot < 1.0:
             raise ValueError("q_tot must lie in [0, 1)")
+
+    @cached_property
+    def _size_table(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(cdf, first, scale), built on the first draw: ``Generator.choice``'s
+        CDF of q and, for each bucket [b / scale, (b + 1) / scale), at most
+        half a gap wide, the count first[b] of entries at or below b / scale."""
+        cdf = self.q.cumsum()
+        cdf /= cdf[-1]
+        scale = 1 << math.ceil(math.log2(2.0 / float(np.diff(cdf, prepend=0.0).min())))
+        return cdf, cdf.searchsorted(np.arange(scale) / scale, side="right"), scale
+
+    def _draw_sizes(self, g: np.random.Generator, count: int) -> np.ndarray:
+        """``g.choice(np.arange(1, N), size=count, p=q)``: the same uniforms,
+        sizes and final state of ``g``, without choice's check of p or its
+        search of the whole CDF.  ``u * scale`` is exact for a power of two,
+        and a bucket holds at most one entry, so the first[b] entries at or
+        below u may be followed by one more (never past cdf[-1] = 1.0 > u).
+        """
+        cdf, first, scale = self._size_table
+        u = g.random(count)
+        base = first[(u * scale).astype(np.intp)]
+        return base + (cdf[base] <= u) + 1
 
 
 @dataclass(frozen=True)
@@ -126,10 +157,12 @@ def _uniform_subsets(g: np.random.Generator, ks: np.ndarray, n: int) -> np.ndarr
     Rows are visited in descending s, so the rows still drawing at step j
     are a leading slice; position j is final after step j and never read
     again, so a step only moves the displaced slot to the drawn position.
+    That order is a stable sort of N // 2 - s as unsigned bytes, which
+    numpy does by radix, ~8x faster than a stable sort of -s as int64.
     """
     count = ks.shape[0]
     small = np.minimum(ks, n - ks)
-    order = np.argsort(-small, kind="stable")
+    order = np.argsort((n // 2 - small).astype(np.min_scalar_type(n)), kind="stable")
     active = count - np.cumsum(np.bincount(small))
     slots = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), count)
     row = np.arange(count) * n
@@ -148,12 +181,11 @@ def _uniform_subsets(g: np.random.Generator, ks: np.ndarray, n: int) -> np.ndarr
 
 def _draw_tests(plan: GroupTestPlan, seed: int, chunk_index: int, count: int) -> np.ndarray:
     """Boolean (count, N) membership of one chunk's tests, drawn from a
-    stream keyed on the chunk index, so any thread draws the same tests.
+    stream keyed on the chunk index, so any thread draws the same tests;
+    the sizes are those of ``Generator.choice`` with p = q.
     """
-    n = plan.n_players
     g = stream(seed, "group-test", chunk_index)
-    ks = g.choice(np.arange(1, n), size=count, p=plan.q)
-    return _uniform_subsets(g, ks, n)
+    return _uniform_subsets(g, plan._draw_sizes(g, count), plan.n_players)
 
 
 def _test_chunk(

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -377,6 +378,32 @@ class TestRejectedInputs:
         argv = ["perm", "--game", "random", "--players", "4", "--permutations", "5"]
         assert main([*argv, "--range", value]) == EXIT_BAD_CONFIG
         assert "--range" in one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--game", "voting", "--weights", "inf,1", "--quota", "1"], "--weights"),
+            (["--game", "voting", "--weights", "nan,1", "--quota", "1"], "--weights"),
+            (["--game", "additive", "--weights", "1,-inf"], "--weights"),
+            (["--game", "voting", "--weights", "1,1", "--quota", "nan"], "--quota"),
+            (["--game", "voting", "--weights", "1,1", "--quota", "inf"], "--quota"),
+        ],
+    )
+    def test_weights_and_quota_must_be_finite(self, argv, flag, capsys):
+        assert main(["exact", *argv]) == EXIT_BAD_CONFIG
+        assert f"{flag} must be finite" in one_line_error(capsys)
+
+    def test_non_finite_weights_in_a_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("weights = 1,nan\n")
+        assert main(["exact", "--game", "additive", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        assert "--weights must be finite" in one_line_error(capsys)
+
+    def test_overflowing_weights_fail_without_a_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["exact", "--game", "additive", "--weights", "1e308,1e308"]) == EXIT_FAILURE
+        assert "weights must be finite" in one_line_error(capsys)
 
     @pytest.mark.parametrize(
         "argv",

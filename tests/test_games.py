@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,44 @@ class TestMembership:
         assert member.tobytes() == reference.tobytes()
         in_range = masks < top
         assert np.array_equal(_masks(member[in_range]), masks[in_range])
+
+
+class TestMasks:
+    @pytest.mark.parametrize("n", range(1, 64))
+    def test_matches_a_per_row_pack(self, n):
+        g = np.random.default_rng(6300 + n)
+        for rows in (0, 1, 4097):
+            # rows of every density, and an empty and a full row when there are enough
+            member = g.random((rows, n)) < g.random((rows, 1))
+            member[1:2], member[2:3] = False, True
+            reference = np.array(
+                [sum(1 << int(j) for j in np.flatnonzero(row)) for row in member], dtype=np.int64
+            )
+            masks = _masks(member)
+            assert masks.dtype == np.int64 and masks.shape == (rows,)
+            assert masks.tobytes() == reference.tobytes()
+
+
+class TestWeightChecks:
+    @pytest.mark.parametrize(
+        "weights", [[np.inf, 1.0], [np.nan, 1.0], [1.0, -np.inf], [np.inf, -np.inf], [1e308, 1e308]]
+    )
+    def test_non_finite_weights_and_totals_are_rejected_without_a_warning(self, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="weights must be finite"):
+                make_additive_game(weights)
+            with pytest.raises(ValueError, match="weights must be finite"):
+                make_voting_game(weights, 1.0)
+
+    @pytest.mark.parametrize("quota", [np.nan, np.inf, -np.inf])
+    def test_non_finite_quota_is_rejected(self, quota):
+        with pytest.raises(ValueError, match="quota must be finite"):
+            make_voting_game([1.0, 1.0], quota)
+
+    def test_largest_finite_total_is_accepted(self):
+        game = make_additive_game([1e308, 7e307])
+        assert game.range_r == 1e308 + 7e307
 
 
 def voting_half(weights):

@@ -21,7 +21,13 @@ from shapval import (
     required_tests,
     run_tests,
 )
-from shapval.group_testing import _TEST_CHUNK, _baseline_budgets, bennett_h
+from shapval.group_testing import (
+    _TEST_CHUNK,
+    GroupTestPlan,
+    _baseline_budgets,
+    _uniform_subsets,
+    bennett_h,
+)
 from shapval.permutation import ORDERING_CHUNK
 from conftest import drawn_tests, has_negative_cycle, lp_max_violation
 
@@ -86,6 +92,99 @@ class TestPlan:
     def test_rejects_single_player(self):
         with pytest.raises(ValueError):
             build_plan(1)
+
+    def test_hand_built_plan_draws_from_its_own_q(self):
+        q = np.array([0.1, 0.2, 0.3, 0.4])
+        plan = GroupTestPlan(n_players=5, z_norm=1.0, q=q, q_tot=0.1)
+        ks = plan._draw_sizes(np.random.default_rng(0), 4096)
+        assert np.array_equal(ks, np.random.default_rng(0).choice(np.arange(1, 5), size=4096, p=q))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"q": np.array([np.nan, 0.5, 0.25, 0.25])},
+            {"q": np.array([0.5, 0.5])},
+            {"q": np.full((2, 2), 0.25)},
+            {"q": np.array([0.75, -0.25, 0.25, 0.25])},
+            {"q": np.array([0.5, 0.0, 0.25, 0.25])},
+            {"q": np.array([np.inf, 0.5, 0.25, 0.25])},
+            {"z_norm": 0.0},
+            {"z_norm": -1.0},
+            {"z_norm": np.nan},
+            {"z_norm": np.inf},
+            {"q_tot": np.nan},
+        ],
+    )
+    def test_rejects_a_malformed_plan(self, change):
+        fields = {"n_players": 5, "z_norm": 1.0, "q": np.full(4, 0.25), "q_tot": 0.1}
+        with pytest.raises(ValueError):
+            GroupTestPlan(**(fields | change))
+
+
+def int64_ordered_subsets(g, ks, n):
+    """The subset draw as the output contract states it, with the rows
+    ordered by a stable sort of -min(k, N - k) as int64 keys."""
+    count = ks.shape[0]
+    small = np.minimum(ks, n - ks)
+    order = np.argsort(-small, kind="stable")
+    slots = np.tile(np.arange(n), (count, 1))
+    member = np.zeros((count, n), dtype=bool)
+    for j in range(small.max()):
+        rows = order[small[order] > j]
+        pick = g.integers(j, n, size=rows.size)
+        drawn = slots[rows, pick]
+        slots[rows, pick] = slots[rows, j]
+        member[rows, drawn] = True
+    return member ^ (ks > n - ks)[:, None]
+
+
+class TestDrawKernel:
+    """The chunk kernel's shortcuts give the values of the numpy calls they replace."""
+
+    @pytest.mark.parametrize("n", range(2, 64))
+    def test_sizes_are_those_of_choice(self, n):
+        plan = build_plan(n)
+        for count in (1, 7, 4096):
+            for seed in (0, 1, 2):
+                g, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                ks = plan._draw_sizes(g, count)
+                expected = ref.choice(np.arange(1, n), size=count, p=plan.q)
+                assert ks.dtype == expected.dtype and np.array_equal(ks, expected)
+                assert g.random() == ref.random()
+
+    @pytest.mark.parametrize("n", [2, 9, 63])
+    def test_uniforms_on_cdf_entries_and_bucket_edges(self, n):
+        # searchsorted(side="right"): a uniform equal to a CDF entry counts it
+        plan = build_plan(n)
+        cdf, _, scale = plan._size_table
+        below = np.nextafter(cdf[:-1], 0.0)
+        u = np.concatenate([cdf[:-1], below, np.arange(scale) / scale, [np.nextafter(1.0, 0.0)]])
+
+        class Fixed:
+            def random(self, count):
+                return u[:count]
+
+        ks = plan._draw_sizes(Fixed(), u.size)
+        assert np.array_equal(ks, cdf.searchsorted(u, side="right") + 1)
+
+    @pytest.mark.parametrize("n", range(2, 64))
+    def test_rows_are_drawn_in_the_int64_stable_order(self, n):
+        plan = build_plan(n)
+        for count, seed in ((1, 0), (7, 1), (4096, 2)):
+            ks = plan._draw_sizes(np.random.default_rng(seed), count)
+            g, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            member = _uniform_subsets(g, ks, n)
+            assert member.shape == (count, n) and member.flags.c_contiguous
+            assert member.tobytes() == int64_ordered_subsets(ref, ks, n).tobytes()
+            assert g.random() == ref.random()
+
+    def test_table_is_built_on_the_first_draw(self):
+        plan = build_plan(10**6)
+        assert "_size_table" not in vars(plan)
+        plan = build_plan(63)
+        plan._draw_sizes(np.random.default_rng(0), 1)
+        cdf, first, scale = vars(plan)["_size_table"]
+        assert scale == 512 and first.shape == (512,) and cdf[-1] == 1.0
 
 
 class TestRequiredTests:
