@@ -187,8 +187,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{kind} games take no {_FLAGS[name]}")
             if not given and name in takes and name in _REQUIRED_GAME_PARAMS:
                 raise ConfigError(f"{kind} games need {_FLAGS[name]}")
-        if self.weights is not None and not all(map(math.isfinite, self.weights)):
-            raise ConfigError(f"--weights must be finite, got {self.weights!r}")
+        if self.weights is not None and not math.isfinite(sum(self.weights)):
+            raise ConfigError(f"--weights must be finite, with a finite total: {self.weights!r}")
         if self.quota is not None and not math.isfinite(self.quota):
             raise ConfigError(f"--quota must be finite, got {self.quota!r}")
         if self.range_r is not None and not 0 < self.range_r < math.inf:

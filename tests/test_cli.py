@@ -402,8 +402,8 @@ class TestRejectedInputs:
     def test_overflowing_weights_fail_without_a_warning(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["exact", "--game", "additive", "--weights", "1e308,1e308"]) == EXIT_FAILURE
-        assert "weights must be finite" in one_line_error(capsys)
+            assert main(["exact", "--game", "additive", "--weights", "1e308,1e308"]) == EXIT_BAD_CONFIG
+        assert "--weights must be finite, with a finite total" in one_line_error(capsys)
 
     @pytest.mark.parametrize(
         "argv",
