@@ -24,8 +24,6 @@ _EXPORTS = {
         "uniform_division",
     ),
     "compressive": (
-        "CompressiveState",
-        "MeasurementMatrix",
         "bpdn_solve",
         "compressive_sample",
         "estimate_compressive",
@@ -55,7 +53,6 @@ _EXPORTS = {
     "group_testing": (
         "BaselineSplit",
         "GroupTestPlan",
-        "build_plan",
         "estimate_group_testing",
         "optimize_split_constants",
         "recover_feasibility",

@@ -13,6 +13,7 @@ import argparse
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -34,7 +35,7 @@ from .games import (
     make_symmetric_game,
     make_voting_game,
 )
-from .results import ResultRecord, write_record
+from .results import ResultRecord, _csv_text, write_record
 
 if TYPE_CHECKING:
     from .knn import KnnInstance
@@ -214,10 +215,21 @@ _FLAGS = {f.name: "--" + f.metadata["key"].replace("_", "-") for f in _OPTIONS}
 _COUNTS = ("players", "k", "permutations", "tests", "measurements", "threads")
 
 
+@contextmanager
+def _refusal_is_config_error():
+    """The library's ``ValueError`` for a configured input (zero weights, K not
+    below the training size) is a malformed configuration: a ``ConfigError``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def build_game(config: ExperimentConfig) -> Game:
     """Materialize the configured game (synthetic family or KNN dataset)."""
     if config.game_kind is not None:
-        return _GAMES[config.game_kind][1](config)
+        with _refusal_is_config_error():
+            return _GAMES[config.game_kind][1](config)
     from . import knn
 
     return knn.knn_game(load_knn_instances(config))
@@ -232,10 +244,11 @@ def load_knn_instances(config: ExperimentConfig) -> list[KnnInstance]:
     x_test, y_test = load_labeled_csv(config.test)
     if x_test.shape[1] != x_train.shape[1]:
         raise ConfigError("train and test files must share the feature width")
-    return [
-        knn.KnnInstance(x_train, y_train, x_test[i], y_test[i], config.k)
-        for i in range(x_test.shape[0])
-    ]
+    with _refusal_is_config_error():
+        return [
+            knn.KnnInstance(x_train, y_train, x_test[i], y_test[i], config.k)
+            for i in range(x_test.shape[0])
+        ]
 
 
 def _looinfluence_values(config: ExperimentConfig) -> ValueVector:
@@ -262,8 +275,7 @@ def _looinfluence_values(config: ExperimentConfig) -> ValueVector:
         ]
     )
     u_total = math.log(2.0) - analytics.logistic_loss(model.theta, xt, yt)
-    vv = analytics.largest_s_values(marginals, u_total)
-    return ValueVector(vv.values, method="loo-influence", eval_count=0, seed=config.seed)
+    return analytics.largest_s_values(marginals, u_total)
 
 
 def _estimator_values(config: ExperimentConfig, game: Game) -> ValueVector:
@@ -289,6 +301,8 @@ def _estimator_values(config: ExperimentConfig, game: Game) -> ValueVector:
 
         if config.epsilon is None or config.delta is None:
             raise ConfigError("group-test needs --epsilon and --delta")
+        with _refusal_is_config_error():  # the plan refuses fewer than two players
+            group_testing.GroupTestPlan(game.n_players)
         return group_testing.estimate_group_testing(
             game,
             config.epsilon,
@@ -336,7 +350,6 @@ def run_experiment(config: ExperimentConfig) -> ResultRecord:
 
         instances = load_knn_instances(config)
         vv = knn.knn_shapley_testset(instances)
-        vv = ValueVector(vv.values, method="knn", eval_count=0, seed=config.seed)
         if config.with_oracle:
             oracle_game = knn.knn_game(instances)
     else:
@@ -476,9 +489,7 @@ def _emit(record: ResultRecord, config: ExperimentConfig, budget: int | None = N
             summary += f", l2 error {record.l2_error:.6g}"
         print(summary, file=sys.stderr)
     else:
-        sys.stdout.write("player,value\n")
-        for i, v in enumerate(record.values):
-            sys.stdout.write(f"{i},{v:.17g}\n")
+        sys.stdout.write(_csv_text(record))
 
 
 # checked in order: a subclass comes before its parent

@@ -5,13 +5,14 @@ sign matrix, so only M << N noisy linear measurements of the value
 vector are averaged.  The deviation of the values from their mean
 U(I)/N is then recovered by l1 minimization under an l2 residual
 constraint (basis pursuit denoising, solved exactly by walking the lasso
-path), exploiting that most players carry near-average value.
+path), exploiting that most players carry near-average value.  Recovery
+assumes the package's own +-1/sqrt(M) sign matrix, so the sampler draws
+it and returns it with the measurements.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +23,6 @@ from .permutation import ORDERING_CHUNK, _check_accuracy, marginal_chunk
 from .rng import stream
 
 __all__ = [
-    "MeasurementMatrix",
-    "CompressiveState",
     "sample_bernoulli_matrix",
     "compressive_sample",
     "bpdn_solve",
@@ -33,71 +32,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MeasurementMatrix:
-    """Random sign matrix with entries +-1/sqrt(M); every column has unit l2 norm."""
-
-    entries: np.ndarray
-    m_rows: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=np.float64)
-        object.__setattr__(self, "entries", e)
-        if e.shape[0] != self.m_rows:
-            raise ValueError("row count mismatch")
-        if not np.all(np.abs(np.abs(e) * math.sqrt(self.m_rows) - 1.0) < 1e-12):
-            raise ValueError("entries must all have magnitude 1/sqrt(M)")
-
-
-@dataclass(frozen=True)
-class CompressiveState:
-    """Averaged measurements of the marginal-contribution vector."""
-
-    y_bar: np.ndarray
-    s_bar: float
-    t_permutations: int
-
-    def __post_init__(self) -> None:
-        if self.t_permutations < 1:
-            raise ValueError("need at least one permutation")
-        if not np.all(np.isfinite(self.y_bar)):
-            raise ValueError("measurements must be finite")
-
-
-def sample_bernoulli_matrix(m_rows: int, n_players: int, seed: int) -> MeasurementMatrix:
-    """i.i.d. signs, each +1/sqrt(M) or -1/sqrt(M) with equal probability."""
+def sample_bernoulli_matrix(m_rows: int, n_players: int, seed: int) -> np.ndarray:
+    """(M, N) i.i.d. signs, each +1/sqrt(M) or -1/sqrt(M) with equal
+    probability, so every column has unit l2 norm."""
     check_count("m_rows", m_rows)
     if n_players < 1:
         raise ValueError("need at least one player")
     g = stream(seed, "bernoulli-matrix")
     signs = g.integers(0, 2, size=(m_rows, n_players)) * 2 - 1
-    return MeasurementMatrix(signs / math.sqrt(m_rows), m_rows, seed)
+    return signs / math.sqrt(m_rows)
 
 
 def compressive_sample(
-    game: Game,
-    a: MeasurementMatrix,
-    t_permutations: int,
-    seed: int,
-    *,
-    threads: int | None = None,
-) -> CompressiveState:
-    """Project per-ordering marginals through ``a`` and average over orderings.
+    game: Game, m_rows: int, t_permutations: int, seed: int, *, threads: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a, y_bar): the (M, N) sign matrix for ``seed`` and the per-ordering
+    marginals projected through it, averaged over orderings.
 
     Orderings reuse the permutation sampler's prefix caching, so each
     costs N utility evaluations.  For monotone games every single
     measurement is certified to lie in [-r/sqrt(M), r/sqrt(M)].
     """
-    if a.entries.shape[1] != game.n_players:
-        raise ValueError("measurement matrix width must match the player count")
     check_count("t_permutations", t_permutations)
-    at = a.entries.T
-    bound = game.range_r / math.sqrt(a.m_rows) + 1e-9 * max(1.0, game.range_r)
+    a = sample_bernoulli_matrix(m_rows, game.n_players, seed)
+    bound = game.range_r / math.sqrt(m_rows) + 1e-9 * max(1.0, game.range_r)
 
     def chunk_sum(i: int, lo: int, hi: int) -> np.ndarray:
         phi = marginal_chunk(game, seed, "compressive", i, hi - lo)
-        y = phi @ at
+        y = phi @ a.T
         if game.monotone and float(np.abs(y).max()) > bound:
             raise ShapvalError(
                 "measurement outside the guaranteed range for a monotone utility"
@@ -105,11 +67,7 @@ def compressive_sample(
         return y.sum(axis=0)
 
     total = ordered_chunk_map(chunk_sum, chunk_ranges(t_permutations, ORDERING_CHUNK), threads)
-    return CompressiveState(
-        y_bar=total / t_permutations,
-        s_bar=game.u_total / game.n_players,
-        t_permutations=t_permutations,
-    )
+    return a, total / t_permutations
 
 
 _TIE = 1e-12  # relative to lam: events this close coincide, and smaller rates are tangent
@@ -154,9 +112,7 @@ def _next_segment(mat, b, moving: np.ndarray, tied: np.ndarray, signs: np.ndarra
             active, old = active[keep], old[keep]
 
 
-def bpdn_solve(
-    a: MeasurementMatrix | np.ndarray, residual_target: np.ndarray, epsilon: float
-) -> np.ndarray:
+def bpdn_solve(a: np.ndarray, residual_target: np.ndarray, epsilon: float) -> np.ndarray:
     """min ||x||_1 subject to ||a x - residual_target||_2 <= epsilon, exactly.
 
     Lasso homotopy (Osborne, Presnell & Turlach 2000; Efron et al. 2004): from
@@ -170,7 +126,7 @@ def bpdn_solve(
     """
     if not epsilon >= 0:  # NaN fails too
         raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
-    mat = a.entries if isinstance(a, MeasurementMatrix) else np.asarray(a, dtype=np.float64)
+    mat = np.asarray(a, dtype=np.float64)
     b = np.asarray(residual_target, dtype=np.float64)
     if b.shape != (mat.shape[0],):
         raise ValueError("residual target length must match the row count")
@@ -224,12 +180,11 @@ def estimate_compressive(
     The recovery guarantee assumes a monotone utility; for games not
     declared monotone the estimate is still computed but flagged.
     """
-    a = sample_bernoulli_matrix(m_rows, game.n_players, seed)
-    state = compressive_sample(game, a, t_permutations, seed, threads=threads)
-    residual = state.y_bar - state.s_bar * (a.entries @ np.ones(game.n_players))
-    correction = bpdn_solve(a, residual, epsilon)
+    a, y_bar = compressive_sample(game, m_rows, t_permutations, seed, threads=threads)
+    s_bar = game.u_total / game.n_players
+    correction = bpdn_solve(a, y_bar - s_bar * (a @ np.ones(game.n_players)), epsilon)
     return ValueVector(
-        state.s_bar + correction,
+        s_bar + correction,
         method="compressive",
         eval_count=int(t_permutations) * game.n_players,
         seed=seed,

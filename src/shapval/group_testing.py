@@ -7,7 +7,8 @@ estimator of the value difference s_i - s_j, so a modest number of
 pooled tests pins down all pairwise differences at once.  Values are
 then recovered either by fitting a vector to the differences under the
 budget constraint (feasibility route, in closed form) or by anchoring on
-one directly-estimated baseline player.  Tests are streamed: a run
+one directly-estimated baseline player.  The sampler is fixed by N, so
+a run builds its own plan from the game.  Tests are streamed: a run
 returns only the N potentials, and no coalition outlives its chunk.
 A chunk reads its sizes from a bucketed CDF and orders its rows by radix
 sort, with the values of ``Generator.choice`` and an int64 sort.
@@ -16,7 +17,7 @@ sort, with the values of ``Generator.choice`` and an int64 sort.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -29,7 +30,6 @@ from .rng import stream
 __all__ = [
     "GroupTestPlan",
     "BaselineSplit",
-    "build_plan",
     "required_tests",
     "run_tests",
     "recover_feasibility",
@@ -49,30 +49,35 @@ def bennett_h(u):
 
 @dataclass(frozen=True)
 class GroupTestPlan:
-    """Test-size distribution for an N-player game.
+    """Test-size distribution for an N-player game, fixed by N.
 
     q[k-1] is the probability of drawing a size-k coalition
     (k = 1..N-1), z_norm its normalizer, and q_tot the probability that
     a single test activates a fixed pair of players identically (and so
-    contributes nothing to their difference estimate).
+    contributes nothing to their difference estimate).  Only
+    q(k) = (1/Z)(1/k + 1/(N-k)) makes Z * u * (beta_i - beta_j) unbiased
+    and sizes the test counts, so the three are computed here from N and
+    no caller sets them; two plans for the same N compare equal.
     """
 
     n_players: int
-    z_norm: float
-    q: np.ndarray
-    q_tot: float
+    z_norm: float = field(init=False, repr=False, compare=False)
+    q: np.ndarray = field(init=False, repr=False, compare=False)
+    q_tot: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.q.shape != (self.n_players - 1,):
-            raise ValueError("q must hold one probability per size 1..n_players-1")
-        if not np.all(self.q > 0.0):  # NaN compares false, so it fails here
-            raise ValueError("test-size probabilities must be positive")
-        if not abs(float(self.q.sum()) - 1.0) <= 1e-12:
-            raise ValueError("test-size probabilities must sum to 1")
-        if not 0.0 < self.z_norm < math.inf:
-            raise ValueError("z_norm must be positive and finite")
-        if not 0.0 <= self.q_tot < 1.0:
-            raise ValueError("q_tot must lie in [0, 1)")
+        n = self.n_players
+        if n < 2:
+            raise ValueError("group testing needs at least two players")
+        ks = np.arange(1, n)
+        z = 2.0 * math.fsum(1.0 / k for k in range(1, n))
+        q = (1.0 / z) * (1.0 / ks + 1.0 / (n - ks))
+        # probability that a fixed pair is activated identically, summed over sizes
+        terms = [((n - 2) / n) * q[0]]
+        terms += [q[k - 1] * (1.0 + (2.0 * k * (k - n)) / (n * (n - 1))) for k in range(2, n)]
+        object.__setattr__(self, "z_norm", z)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q_tot", math.fsum(terms))
 
     @cached_property
     def _size_table(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -118,21 +123,6 @@ class BaselineSplit:
             raise ValueError("budgets must be at least 1")
 
 
-def build_plan(n_players: int) -> GroupTestPlan:
-    """Test-size distribution q(k) = (1/Z)(1/k + 1/(N-k)) and its moments."""
-    n = n_players
-    if n < 2:
-        raise ValueError("group testing needs at least two players")
-    ks = np.arange(1, n)
-    z = 2.0 * math.fsum(1.0 / k for k in range(1, n))
-    q = (1.0 / z) * (1.0 / ks + 1.0 / (n - ks))
-    # probability that a fixed pair is activated identically, summed over sizes
-    terms = [((n - 2) / n) * q[0]]
-    terms += [q[k - 1] * (1.0 + (2.0 * k * (k - n)) / (n * (n - 1))) for k in range(2, n)]
-    q_tot = math.fsum(terms)
-    return GroupTestPlan(n_players=n, z_norm=z, q=q, q_tot=q_tot)
-
-
 def required_tests(n_players: int, epsilon: float, delta: float, range_r: float) -> int:
     """Tests needed so the recovered values meet (epsilon, delta) in l2 norm.
 
@@ -141,7 +131,7 @@ def required_tests(n_players: int, epsilon: float, delta: float, range_r: float)
     bound over all N(N-1)/2 pairs.  Grows like N (ln N)^2.
     """
     _check_accuracy(range_r, epsilon, delta)
-    plan = build_plan(n_players)
+    plan = GroupTestPlan(n_players)
     spread = 1.0 - plan.q_tot**2
     u = epsilon / (plan.z_norm * range_r * math.sqrt(n_players) * spread)
     bound = 8.0 * math.log(n_players * (n_players - 1) / (2.0 * delta)) / (spread * bennett_h(u))
@@ -197,10 +187,8 @@ def _test_chunk(
     return member.T.astype(np.float64) @ utils
 
 
-def run_tests(
-    game: Game, plan: GroupTestPlan, t_tests: int, seed: int, *, threads: int | None = None
-) -> np.ndarray:
-    """Execute t_tests pooled tests; returns the (N,) test potentials.
+def run_tests(game: Game, t_tests: int, seed: int, *, threads: int | None = None) -> np.ndarray:
+    """Execute t_tests pooled tests of ``GroupTestPlan(N)``; returns the (N,) potentials.
 
     potentials[i] = (Z / T) * sum_t u_t beta_ti, one utility evaluation
     per test, so the difference estimate of s_i - s_j is
@@ -208,8 +196,7 @@ def run_tests(
     returns only its per-player sums, so no mask or utility outlives it.
     """
     check_count("t_tests", t_tests)
-    if plan.n_players != game.n_players:
-        raise ValueError("plan and game must have the same number of players")
+    plan = GroupTestPlan(game.n_players)
     total = ordered_chunk_map(
         lambda i, lo, hi: _test_chunk(game, plan, seed, i, lo, hi),
         chunk_ranges(t_tests, _TEST_CHUNK),
@@ -288,7 +275,7 @@ def optimize_split_constants(
     grid.
     """
     _check_accuracy(range_r, epsilon, delta)
-    plan = build_plan(n_players)
+    plan = GroupTestPlan(n_players)
     grid = 2.0 ** (np.arange(1, 65) / 10.0)  # 64 points in (1, 100]
     ce, cd = np.meshgrid(grid, grid, indexing="ij")
     m1, m2 = _baseline_budgets(plan, epsilon, delta, range_r, ce, cd)
@@ -351,12 +338,11 @@ def estimate_group_testing(
     probability 1 - delta.
     """
     _check_accuracy(game.range_r, epsilon, delta)
-    plan = build_plan(game.n_players)
     if recovery == "feasibility":
         t = t_tests if t_tests is not None else required_tests(
             game.n_players, epsilon, delta, game.range_r
         )
-        potentials = run_tests(game, plan, t, seed, threads=threads)
+        potentials = run_tests(game, t, seed, threads=threads)
         return ValueVector(
             potentials + (game.u_total - potentials.sum()) / game.n_players,
             method="group-test-feasibility",
@@ -368,7 +354,7 @@ def estimate_group_testing(
     if recovery == "baseline":
         split = optimize_split_constants(game.n_players, epsilon, delta, game.range_r)
         t1 = t_tests if t_tests is not None else split.m1
-        potentials = run_tests(game, plan, t1, seed, threads=threads)
+        potentials = run_tests(game, t1, seed, threads=threads)
         orderings = max(1, math.ceil(split.m2 / 2))
         s_star, baseline_evals = _baseline_player_value(game, orderings, seed, threads)
         values = s_star + (potentials - potentials[0])

@@ -37,7 +37,8 @@ def run_python(*args):
 
 
 def drawn_tests(game, plan, t_tests, seed):
-    """(masks, utilities) of the tests ``run_tests(game, plan, t_tests, seed)`` runs.
+    """(masks, utilities) of the tests ``run_tests(game, t_tests, seed)`` runs,
+    drawn from ``plan``, the ``GroupTestPlan(game.n_players)`` it builds.
 
     Utilities are evaluated chunk by chunk, as ``run_tests`` evaluates
     them: a lone last row is summed by ``dot`` rather than ``gemv``, so

@@ -12,11 +12,11 @@ import time
 import numpy as np
 
 from shapval import (
+    GroupTestPlan,
     KnnInstance,
     PermutationBudget,
     additivity_violation,
     bpdn_solve,
-    build_plan,
     estimate_compressive,
     estimate_group_testing,
     estimate_permutation,
@@ -142,7 +142,7 @@ def test_criterion_04_permutation_sampling_guarantee():
 
 def _pair_statistics(game, t, seed):
     """Per-test statistics Z * u * (beta_i - beta_j) for all ordered pairs i < j."""
-    plan = build_plan(game.n_players)
+    plan = GroupTestPlan(game.n_players)
     masks, utils = drawn_tests(game, plan, t, seed)
     membership = ((masks[:, None] >> np.arange(game.n_players)) & 1).astype(np.float64)
     return plan, membership, utils
@@ -178,7 +178,7 @@ def test_criterion_06_group_testing_end_to_end():
         vv = estimate_group_testing(game, 0.5, 0.1, seed=seed, t_tests=t)
         hits += float(np.linalg.norm(vv.values - truth)) <= 0.5
     # empirical test-size frequencies against the sampling distribution
-    plan10 = build_plan(10)
+    plan10 = GroupTestPlan(10)
     masks, _ = drawn_tests(make_random_game(10, seed=62), plan10, 100_000, seed=5)
     sizes = np.bitwise_count(masks)
     counts = np.bincount(sizes, minlength=10)[1:10]
@@ -187,7 +187,7 @@ def test_criterion_06_group_testing_end_to_end():
     freq_ok = bool(np.all(np.abs(counts - expected) <= bands))
     # closed-form identity for the zero-contribution probability
     ident_ok = all(
-        abs(build_plan(n).q_tot - (1 - 2 / build_plan(n).z_norm)) <= 1e-10
+        abs(GroupTestPlan(n).q_tot - (1 - 2 / GroupTestPlan(n).z_norm)) <= 1e-10
         for n in range(2, 1001)
     )
     verdict(

@@ -207,6 +207,14 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert captured.out.startswith("player,value")
 
+    def test_stdout_is_the_written_csv(self, tmp_path, capsys):
+        out = tmp_path / "perm.csv"
+        argv = ["perm", "--game", "additive", "--weights", "1,2,3", "--permutations", "7"]
+        assert main([*argv, "--output", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == out.read_text()
+
     def test_unknown_method_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("method = banzhaf\n")
@@ -404,6 +412,65 @@ class TestRejectedInputs:
             warnings.simplefilter("error")
             assert main(["exact", "--game", "additive", "--weights", "1e308,1e308"]) == EXIT_BAD_CONFIG
         assert "--weights must be finite, with a finite total" in one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--game", "additive", "--weights", "0,0"], "at least one weight must be positive"),
+            (["--game", "additive", "--weights=-1,2"], "weights must be nonnegative"),
+            (["--game", "voting", "--weights", "1,1", "--quota", "5"], "quota must be"),
+            (["--game", "voting", "--weights", "1,1", "--quota", "-1"], "quota must be"),
+            (["--game", "symmetric", "--players", "3", "--size-values", "0,1"], "size_values must"),
+        ],
+    )
+    def test_game_the_library_refuses_is_a_config_error(self, argv, message, capsys):
+        assert main(["exact", *argv]) == EXIT_BAD_CONFIG
+        assert message in one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [["knn"], ["perm", "--permutations", "2"]])
+    def test_k_not_below_the_training_size_is_a_config_error(self, argv, tmp_path, capsys):
+        train, test = write_knn_files(tmp_path)  # three training rows
+        assert main([*argv, "--train", str(train), "--test", str(test), "--k", "3"]) == EXIT_BAD_CONFIG
+        assert "k_neighbors must satisfy" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("recovery", ["feasibility", "baseline"])
+    def test_group_testing_one_player_is_a_config_error(self, recovery, capsys):
+        argv = ["group-test", "--game", "additive", "--weights", "1", "--epsilon", "0.5"]
+        assert main([*argv, "--delta", "0.1", "--recovery", recovery]) == EXIT_BAD_CONFIG
+        assert "group testing needs at least two players" in one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["perm", "--game", "glove"], "perm needs --permutations or --epsilon/--delta"),
+            (["perm", "--game", "glove", "--epsilon", "0.1"], "perm needs --permutations or --epsilon/--delta"),
+            (["group-test", "--game", "glove", "--epsilon", "0.5"], "group-test needs --epsilon and --delta"),
+            (["group-test", "--game", "glove", "--delta", "0.1"], "group-test needs --epsilon and --delta"),
+            (
+                ["compressive", "--game", "glove", "--epsilon", "0.1", "--permutations", "5"],
+                "compressive needs --measurements",
+            ),
+            (
+                ["compressive", "--game", "glove", "--measurements", "2", "--permutations", "5"],
+                "compressive needs --epsilon",
+            ),
+            (
+                ["compressive", "--game", "glove", "--measurements", "2", "--epsilon", "0.1"],
+                "compressive needs --permutations or --delta",
+            ),
+            (
+                ["sweep", "--method", "uniform", "--game", "glove", "--budgets", "10"],
+                "method 'uniform' takes no sampling budget",
+            ),
+            (["loo-influence", "--with-oracle"], "--with-oracle is not supported for loo-influence"),
+        ],
+    )
+    def test_each_subcommand_names_the_options_it_needs(self, argv, message, tmp_path, capsys):
+        if argv[0] == "loo-influence":
+            train, test = logistic_files(tmp_path)
+            argv = [*argv, "--train", str(train), "--test", str(test)]
+        assert main(argv) == EXIT_BAD_CONFIG
+        assert one_line_error(capsys) == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv",

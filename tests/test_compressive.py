@@ -20,7 +20,9 @@ from shapval import (
     sample_bernoulli_matrix,
     sigma_k,
 )
+from shapval import compressive
 from shapval.permutation import ORDERING_CHUNK
+from shapval.rng import stream
 from conftest import exhaustive_one_sparse, one_sparse_recovery_instances
 
 
@@ -119,16 +121,16 @@ def tied_instances(count):
 class TestMeasurementMatrix:
     def test_entry_magnitudes(self):
         a = sample_bernoulli_matrix(4, 10, seed=0)
-        assert np.all(np.abs(a.entries) == 0.5)
+        assert a.shape == (4, 10) and np.all(np.abs(a) == 0.5)
 
     def test_column_norms_are_one(self):
         a = sample_bernoulli_matrix(7, 9, seed=1)
-        assert_allclose(np.linalg.norm(a.entries, axis=0), np.ones(9), atol=1e-12)
+        assert_allclose(np.linalg.norm(a, axis=0), np.ones(9), atol=1e-12)
 
     def test_sign_frequency(self):
         a = sample_bernoulli_matrix(500, 200, seed=2)
-        positives = int((a.entries > 0).sum())
-        total = a.entries.size
+        positives = int((a > 0).sum())
+        total = a.size
         band = 3.0 * math.sqrt(total * 0.25)
         assert abs(positives - total / 2) <= band
 
@@ -144,43 +146,37 @@ class TestMeasurementMatrix:
 
 class TestCompressiveSample:
     def test_additive_measurements_are_exact_and_seed_free(self):
+        # every ordering of an additive game gives the same marginals, so the
+        # measurements are a @ w whatever orderings the seed draws
         game, w = spiked_additive(seed=3)
-        a = sample_bernoulli_matrix(6, 16, seed=4)
-        s1 = compressive_sample(game, a, 40, seed=1)
-        s2 = compressive_sample(game, a, 40, seed=999)
-        assert_allclose(s1.y_bar, a.entries @ w, atol=1e-12)
-        assert np.array_equal(s1.y_bar, s2.y_bar)
-        assert s1.s_bar == pytest.approx(w.sum() / 16)
+        for seed in (1, 999):
+            a, y_bar = compressive_sample(game, 6, 40, seed=seed)
+            assert np.array_equal(a, sample_bernoulli_matrix(6, 16, seed))
+            assert_allclose(y_bar, a @ w, atol=1e-12)
+        assert game.u_total / 16 == pytest.approx(w.sum() / 16)
 
     def test_mean_measurement_matches_projected_values(self):
         game = make_glove_game()
-        a = sample_bernoulli_matrix(4, 3, seed=5)
         t = 10_000
-        state = compressive_sample(game, a, t, seed=6)
-        target = a.entries @ exact_shapley_subsets(game).values
+        a, y_bar = compressive_sample(game, 4, t, seed=6)
+        target = a @ exact_shapley_subsets(game).values
         # each single-ordering measurement lies in [-r/sqrt(M), r/sqrt(M)]
         band = 3.0 * (1.0 / math.sqrt(4)) / math.sqrt(t)
-        assert np.all(np.abs(state.y_bar - target) <= band)
+        assert np.all(np.abs(y_bar - target) <= band)
 
     def test_eval_count(self):
         game = make_glove_game()
-        a = sample_bernoulli_matrix(2, 3, seed=7)
         before = game.eval_count
-        compressive_sample(game, a, 25, seed=8)
+        compressive_sample(game, 2, 25, seed=8)
         assert game.eval_count - before == 25 * 3
 
     def test_identical_across_thread_counts(self, monkeypatch):
         monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
         g = make_random_game(7, seed=14)
-        a = sample_bernoulli_matrix(5, 7, seed=2)
         t = 3 * ORDERING_CHUNK + 17  # four chunks, the last one partial
-        one = compressive_sample(g, a, t, seed=6, threads=1)
-        two = compressive_sample(g, a, t, seed=6, threads=2)
-        assert np.array_equal(one.y_bar, two.y_bar)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            compressive_sample(make_glove_game(), sample_bernoulli_matrix(2, 4, 0), 5, seed=0)
+        _, one = compressive_sample(g, 5, t, seed=6, threads=1)
+        _, two = compressive_sample(g, 5, t, seed=6, threads=2)
+        assert np.array_equal(one, two)
 
     def test_range_check_trips_on_mislabeled_monotone_game(self):
         # swings of +-1 in the marginals exceed r/sqrt(M) whenever a row
@@ -192,9 +188,8 @@ class TestCompressiveSample:
             range_r=1.0,
             monotone=True,
         )
-        a = sample_bernoulli_matrix(4, 2, seed=11)
         with pytest.raises(ShapvalError):
-            compressive_sample(lying, a, 50, seed=12)
+            compressive_sample(lying, 4, 50, seed=12)
 
 
 class TestBpdn:
@@ -279,11 +274,10 @@ class TestBpdn:
         heavy = rng.choice(63, size=4, replace=False)
         w[heavy] = rng.uniform(8.0, 12.0, size=4)
         game = make_additive_game(w / w.sum())
-        a = sample_bernoulli_matrix(16, 63, seed=1000021)
-        state = compressive_sample(game, a, 1293, seed=1000021)
-        b = state.y_bar - state.s_bar * (a.entries @ np.ones(63))
+        a, y_bar = compressive_sample(game, 16, 1293, seed=1000021)
+        b = y_bar - game.u_total / 63 * (a @ np.ones(63))
         x = bpdn_solve(a, b, 0.1)
-        assert_certificate(a.entries, b, 0.1, x)
+        assert_certificate(a, b, 0.1, x)
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
@@ -315,11 +309,11 @@ class TestEstimate:
     def test_residual_constraint_holds(self):
         game = make_random_game(10, seed=9)
         eps = 0.05
-        a = sample_bernoulli_matrix(6, 10, seed=31)
-        state = compressive_sample(game, a, 400, seed=31)
-        correction = bpdn_solve(a, state.y_bar - state.s_bar * (a.entries @ np.ones(10)), eps)
-        shat = state.s_bar + correction
-        assert np.linalg.norm(a.entries @ shat - state.y_bar) <= eps + 1e-8
+        a, y_bar = compressive_sample(game, 6, 400, seed=31)
+        s_bar = game.u_total / 10
+        correction = bpdn_solve(a, y_bar - s_bar * (a @ np.ones(10)), eps)
+        shat = s_bar + correction
+        assert np.linalg.norm(a @ shat - y_bar) <= eps + 1e-8
 
     def test_nonmonotone_results_are_flagged(self):
         game = make_random_game(8, seed=10)
@@ -330,6 +324,18 @@ class TestEstimate:
         game, _ = spiked_additive(seed=22)
         vv = estimate_compressive(game, m_rows=4, t_permutations=10, epsilon=0.1, seed=6)
         assert vv.eval_count == 10 * 16
+
+    def test_one_matrix_draw_per_estimate(self, monkeypatch):
+        tags = []
+
+        def counted(seed, tag, index=0):
+            tags.append(tag)
+            return stream(seed, tag, index)
+
+        monkeypatch.setattr(compressive, "stream", counted)
+        game, _ = spiked_additive(seed=23)
+        estimate_compressive(game, m_rows=4, t_permutations=10, epsilon=0.1, seed=7)
+        assert tags == ["bernoulli-matrix"]
 
 
 class TestSigmaK:

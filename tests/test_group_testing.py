@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.stats import binom, chi2
 
 from shapval import (
-    build_plan,
+    GroupTestPlan,
     estimate_group_testing,
     exact_shapley_difference,
     exact_shapley_subsets,
@@ -23,7 +24,6 @@ from shapval import (
 )
 from shapval.group_testing import (
     _TEST_CHUNK,
-    GroupTestPlan,
     _baseline_budgets,
     _uniform_subsets,
     bennett_h,
@@ -51,7 +51,7 @@ def assert_uniform_k_subsets(n, t, seed):
     The bound is the chi-square quantile at a 1e-6 false-alarm rate per
     size, fixed before any draw was looked at.
     """
-    masks, _ = drawn_tests(make_additive_game(np.ones(n)), build_plan(n), t, seed)
+    masks, _ = drawn_tests(make_additive_game(np.ones(n)), GroupTestPlan(n), t, seed)
     sizes = np.bitwise_count(masks)
     for k in range(1, n):
         subsets, counts = np.unique(masks[sizes == k], return_counts=True)
@@ -63,62 +63,43 @@ def assert_uniform_k_subsets(n, t, seed):
 
 class TestPlan:
     def test_two_players(self):
-        plan = build_plan(2)
+        plan = GroupTestPlan(2)
         assert plan.z_norm == 2.0
         assert_allclose(plan.q, [1.0])
         assert plan.q_tot == 0.0
 
     def test_three_players(self):
-        plan = build_plan(3)
+        plan = GroupTestPlan(3)
         assert plan.z_norm == pytest.approx(3.0, abs=1e-15)
         assert_allclose(plan.q, [0.5, 0.5], atol=1e-15)
         assert plan.q_tot == pytest.approx(1 / 3, abs=1e-12)
 
     def test_normalizer_log_bound(self):
-        plan = build_plan(100)
+        plan = GroupTestPlan(100)
         assert plan.z_norm <= 2.0 * (math.log(99.0) + 1.0)
 
     def test_probabilities_normalized_up_to_a_million_players(self):
         for n in (2, 3, 10, 137, 1000, 10**6):
-            plan = build_plan(n)
+            plan = GroupTestPlan(n)
             assert abs(float(plan.q.sum()) - 1.0) <= 1e-12
             assert 0.0 <= plan.q_tot < 1.0
 
     def test_qtot_equals_one_minus_two_over_z(self):
         for n in range(2, 1001):
-            plan = build_plan(n)
+            plan = GroupTestPlan(n)
             assert plan.q_tot == pytest.approx(1.0 - 2.0 / plan.z_norm, abs=1e-10)
 
     def test_rejects_single_player(self):
         with pytest.raises(ValueError):
-            build_plan(1)
+            GroupTestPlan(1)
 
-    def test_hand_built_plan_draws_from_its_own_q(self):
-        q = np.array([0.1, 0.2, 0.3, 0.4])
-        plan = GroupTestPlan(n_players=5, z_norm=1.0, q=q, q_tot=0.1)
-        ks = plan._draw_sizes(np.random.default_rng(0), 4096)
-        assert np.array_equal(ks, np.random.default_rng(0).choice(np.arange(1, 5), size=4096, p=q))
-
-    @pytest.mark.parametrize(
-        "change",
-        [
-            {"q": np.array([np.nan, 0.5, 0.25, 0.25])},
-            {"q": np.array([0.5, 0.5])},
-            {"q": np.full((2, 2), 0.25)},
-            {"q": np.array([0.75, -0.25, 0.25, 0.25])},
-            {"q": np.array([0.5, 0.0, 0.25, 0.25])},
-            {"q": np.array([np.inf, 0.5, 0.25, 0.25])},
-            {"z_norm": 0.0},
-            {"z_norm": -1.0},
-            {"z_norm": np.nan},
-            {"z_norm": np.inf},
-            {"q_tot": np.nan},
-        ],
-    )
-    def test_rejects_a_malformed_plan(self, change):
-        fields = {"n_players": 5, "z_norm": 1.0, "q": np.full(4, 0.25), "q_tot": 0.1}
-        with pytest.raises(ValueError):
-            GroupTestPlan(**(fields | change))
+    def test_n_players_is_the_only_input(self):
+        assert [f.name for f in dataclasses.fields(GroupTestPlan) if f.init] == ["n_players"]
+        with pytest.raises(TypeError):
+            GroupTestPlan(5, q=np.full(4, 0.25))
+        assert GroupTestPlan(5) == GroupTestPlan(5) != GroupTestPlan(6)
+        assert hash(GroupTestPlan(5)) == hash(GroupTestPlan(5))
+        assert repr(GroupTestPlan(5)) == "GroupTestPlan(n_players=5)"
 
 
 def int64_ordered_subsets(g, ks, n):
@@ -143,7 +124,7 @@ class TestDrawKernel:
 
     @pytest.mark.parametrize("n", range(2, 64))
     def test_sizes_are_those_of_choice(self, n):
-        plan = build_plan(n)
+        plan = GroupTestPlan(n)
         for count in (1, 7, 4096):
             for seed in (0, 1, 2):
                 g, ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -155,7 +136,7 @@ class TestDrawKernel:
     @pytest.mark.parametrize("n", [2, 9, 63])
     def test_uniforms_on_cdf_entries_and_bucket_edges(self, n):
         # searchsorted(side="right"): a uniform equal to a CDF entry counts it
-        plan = build_plan(n)
+        plan = GroupTestPlan(n)
         cdf, _, scale = plan._size_table
         below = np.nextafter(cdf[:-1], 0.0)
         u = np.concatenate([cdf[:-1], below, np.arange(scale) / scale, [np.nextafter(1.0, 0.0)]])
@@ -169,7 +150,7 @@ class TestDrawKernel:
 
     @pytest.mark.parametrize("n", range(2, 64))
     def test_rows_are_drawn_in_the_int64_stable_order(self, n):
-        plan = build_plan(n)
+        plan = GroupTestPlan(n)
         for count, seed in ((1, 0), (7, 1), (4096, 2)):
             ks = plan._draw_sizes(np.random.default_rng(seed), count)
             g, ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -179,9 +160,9 @@ class TestDrawKernel:
             assert g.random() == ref.random()
 
     def test_table_is_built_on_the_first_draw(self):
-        plan = build_plan(10**6)
+        plan = GroupTestPlan(10**6)
         assert "_size_table" not in vars(plan)
-        plan = build_plan(63)
+        plan = GroupTestPlan(63)
         plan._draw_sizes(np.random.default_rng(0), 1)
         cdf, first, scale = vars(plan)["_size_table"]
         assert scale == 512 and first.shape == (512,) and cdf[-1] == 1.0
@@ -223,9 +204,9 @@ class TestRequiredTests:
 class TestRunTests:
     def test_eval_count_and_record_shapes(self):
         g = make_glove_game()
-        plan = build_plan(3)
+        plan = GroupTestPlan(3)
         before = g.eval_count
-        potentials = run_tests(g, plan, 500, seed=3)
+        potentials = run_tests(g, 500, seed=3)
         assert g.eval_count - before == 500
         assert potentials.shape == (3,)
         masks, utils = drawn_tests(g, plan, 500, seed=3)
@@ -238,27 +219,19 @@ class TestRunTests:
         g = make_glove_game()
         for count in (0, 2.5, 3.0, True):
             with pytest.raises(ValueError, match="t_tests"):
-                run_tests(g, build_plan(3), count, seed=3)
-        assert g.eval_count == 0
-
-    def test_plan_must_match_the_game(self):
-        g = make_glove_game()
-        for n in (2, 4):
-            with pytest.raises(ValueError):
-                run_tests(g, build_plan(n), 10, seed=3)
+                run_tests(g, count, seed=3)
         assert g.eval_count == 0
 
     def test_memory_does_not_grow_with_the_test_count(self):
         # a chunk keeps only its 63 sums, so 18 more chunks add ~11 kB; keeping
         # every test's mask and utility (16 B per test) would add ~1.2 MB
         game = make_additive_game(np.ones(63))
-        plan = build_plan(63)
-        run_tests(game, plan, 2 * _TEST_CHUNK, seed=4, threads=1)
+        run_tests(game, 2 * _TEST_CHUNK, seed=4, threads=1)
 
         def peak(chunks):
             tracemalloc.start()
             try:
-                run_tests(game, plan, chunks * _TEST_CHUNK, seed=4, threads=1)
+                run_tests(game, chunks * _TEST_CHUNK, seed=4, threads=1)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -267,15 +240,15 @@ class TestRunTests:
 
     def test_per_test_statistic_is_bounded(self):
         g = make_random_game(6, seed=4)
-        plan = build_plan(6)
+        plan = GroupTestPlan(6)
         masks, utils = drawn_tests(g, plan, 2000, seed=8)
         stats = plan.z_norm * utils * (member(masks, 0) - member(masks, 5))
         assert np.all(np.abs(stats) <= plan.z_norm * g.range_r + 1e-12)
 
     def test_difference_matrix_antisymmetric(self):
         g = make_random_game(5, seed=6)
-        plan = build_plan(5)
-        potentials = run_tests(g, plan, 300, seed=2)
+        plan = GroupTestPlan(5)
+        potentials = run_tests(g, 300, seed=2)
         masks, utils = drawn_tests(g, plan, 300, seed=2)
         weighted = np.array([member(masks, i) @ utils for i in range(5)])
         assert_allclose(potentials, (plan.z_norm / 300) * weighted, rtol=1e-12, atol=1e-12)
@@ -285,9 +258,9 @@ class TestRunTests:
 
     def test_symmetric_players_difference_near_zero(self):
         g = make_symmetric_game(6)
-        plan = build_plan(6)
+        plan = GroupTestPlan(6)
         t = 40_000
-        potentials = run_tests(g, plan, t, seed=5)
+        potentials = run_tests(g, t, seed=5)
         masks, utils = drawn_tests(g, plan, t, seed=5)
         # exchangeable players: the pair statistic is centered at zero
         stats = plan.z_norm * utils * (member(masks, 1) - member(masks, 4))
@@ -296,7 +269,7 @@ class TestRunTests:
 
     def test_pair_statistic_unbiased_on_glove(self):
         g = make_glove_game()
-        plan = build_plan(3)
+        plan = GroupTestPlan(3)
         t = 60_000
         masks, utils = drawn_tests(g, plan, t, seed=11)
         stats = plan.z_norm * utils * (member(masks, 0) - member(masks, 1))
@@ -307,9 +280,8 @@ class TestRunTests:
     def test_deterministic_across_thread_counts(self, monkeypatch):
         monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
         g = make_random_game(6, seed=12)
-        plan = build_plan(6)
-        one = run_tests(g, plan, 9000, seed=1, threads=1)
-        eight = run_tests(g, plan, 9000, seed=1, threads=8)
+        one = run_tests(g, 9000, seed=1, threads=1)
+        eight = run_tests(g, 9000, seed=1, threads=8)
         assert np.array_equal(one, eight)
 
     def test_activation_is_a_uniform_k_subset(self):
@@ -327,7 +299,7 @@ class TestRunTests:
         # band is its 1e-6 and 1 - 1e-6 quantiles, fixed before any draw was
         # looked at
         n, t = 63, 100_000
-        masks, _ = drawn_tests(make_additive_game(np.ones(n)), build_plan(n), t, seed=29)
+        masks, _ = drawn_tests(make_additive_game(np.ones(n)), GroupTestPlan(n), t, seed=29)
         sizes = np.bitwise_count(masks)
         for k in (1, 2, 61, 62):
             rows = masks[sizes == k]
@@ -338,10 +310,9 @@ class TestRunTests:
     def test_identical_across_thread_counts_at_63_players(self, monkeypatch):
         monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
         g = make_additive_game(np.linspace(0.1, 1.0, 63))
-        plan = build_plan(63)
         t = 3 * _TEST_CHUNK + 17
-        one = run_tests(g, plan, t, seed=2, threads=1)
-        two = run_tests(g, plan, t, seed=2, threads=2)
+        one = run_tests(g, t, seed=2, threads=1)
+        two = run_tests(g, t, seed=2, threads=2)
         assert one.tobytes() == two.tobytes()
 
 
@@ -426,14 +397,14 @@ class TestSplitConstants:
         assert split.m1 >= 1 and split.m2 >= 1
 
     def test_no_worse_than_conventional_choice(self):
-        plan = build_plan(10)
+        plan = GroupTestPlan(10)
         m1, m2 = _baseline_budgets(plan, 0.1, 0.05, 1.0, 2.0, 2.0)
         split = optimize_split_constants(10, 0.1, 0.05, 1.0)
         assert split.m1 + split.m2 <= m1 + m2
 
     def test_grid_refinement_changes_total_little(self):
         split = optimize_split_constants(10, 0.1, 0.05, 1.0)
-        plan = build_plan(10)
+        plan = GroupTestPlan(10)
         fine = 2.0 ** (np.arange(1, 257) / 40.0)
         ce, cd = np.meshgrid(fine, fine, indexing="ij")
         m1, m2 = _baseline_budgets(plan, 0.1, 0.05, 1.0, ce, cd)
@@ -459,7 +430,7 @@ class TestEstimator:
     def test_feasibility_route_is_the_closed_form_at_63_players(self):
         w = np.random.default_rng(63).uniform(0.5, 1.5, size=63)
         game = make_additive_game(w / w.sum())
-        potentials = run_tests(game, build_plan(63), 20_000, seed=3)
+        potentials = run_tests(game, 20_000, seed=3)
         vv = estimate_group_testing(game, 0.1, 0.1, seed=3, t_tests=20_000)
         pairwise = vv.values[:, None] - vv.values[None, :]
         assert np.max(np.abs(pairwise - (potentials[:, None] - potentials[None, :]))) <= 1e-12

@@ -34,7 +34,13 @@ from shapval import (
 )
 from shapval.cli import EXIT_OK, main
 from shapval.games import utility_table
-from shapval.group_testing import _TEST_CHUNK, _baseline_player_value, _draw_tests, build_plan, run_tests
+from shapval.group_testing import (
+    _TEST_CHUNK,
+    GroupTestPlan,
+    _baseline_player_value,
+    _draw_tests,
+    run_tests,
+)
 from shapval.parallel import chunk_ranges
 
 from conftest import drawn_tests
@@ -129,8 +135,8 @@ def test_decoded_utilities(games):
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_group_testing(games, threads):
     # 10 001 tests: two full 4096-test chunks and a partial one
-    additive, plan = games[0], build_plan(63)
-    potentials = run_tests(additive, plan, 10_001, 21, threads=threads)
+    additive, plan = games[0], GroupTestPlan(63)
+    potentials = run_tests(additive, 10_001, 21, threads=threads)
     _, utils = drawn_tests(additive, plan, 10_001, 21)
     assert digest(np.concatenate([utils, potentials])) == (
         "8ecd7a73df8ec9b7ec6fc16fbe40aef8ebc87cd70cd7096af75a2a49c5133a23"
@@ -174,11 +180,11 @@ def test_group_testing_below_63_players(n, drawn_sha, potentials_sha, threads):
     # 5 000 tests: one full chunk and a partial one; the test-size draw
     # depends on N, so the membership bytes are pinned at several N
     game = make_additive_game(np.random.default_rng(2500 + n).uniform(0.0, 1.0, n))
-    plan = build_plan(n)
+    plan = GroupTestPlan(n)
     ranges = chunk_ranges(5_000, _TEST_CHUNK)
     member = np.concatenate([_draw_tests(plan, 25, i, hi - lo) for i, (lo, hi) in enumerate(ranges)])
     assert hashlib.sha256(member.tobytes()).hexdigest() == drawn_sha
-    assert digest(run_tests(game, plan, 5_000, 25, threads=threads)) == potentials_sha
+    assert digest(run_tests(game, 5_000, 25, threads=threads)) == potentials_sha
 
 
 def test_decoded_utilities_across_blocks(games):
