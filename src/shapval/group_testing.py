@@ -70,14 +70,16 @@ class GroupTestPlan:
         if n < 2:
             raise ValueError("group testing needs at least two players")
         ks = np.arange(1, n)
-        z = 2.0 * math.fsum(1.0 / k for k in range(1, n))
+        z = 2.0 * math.fsum((1.0 / ks).tolist())
         q = (1.0 / z) * (1.0 / ks + 1.0 / (n - ks))
         # probability that a fixed pair is activated identically, summed over sizes
-        terms = [((n - 2) / n) * q[0]]
-        terms += [q[k - 1] * (1.0 + (2.0 * k * (k - n)) / (n * (n - 1))) for k in range(2, n)]
+        terms = np.empty(n - 1)
+        terms[0] = ((n - 2) / n) * q[0]
+        k = ks[1:]
+        terms[1:] = q[1:] * (1.0 + (2.0 * k * (k - n)) / (n * (n - 1)))
         object.__setattr__(self, "z_norm", z)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "q_tot", math.fsum(terms))
+        object.__setattr__(self, "q_tot", math.fsum(terms.tolist()))
 
     @cached_property
     def _size_table(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -158,8 +160,7 @@ def _uniform_subsets(g: np.random.Generator, ks: np.ndarray, n: int) -> np.ndarr
     row = np.arange(count) * n
     spot = order * n  # where each visited row's membership lives
     member = np.zeros(count * n, dtype=bool)
-    for j in range(small.max()):
-        a = active[j]
+    for j, a in enumerate(active[: small.max()].tolist()):
         pick = row[:a] + g.integers(j, n, size=a)
         drawn = slots[pick]
         slots[pick] = slots[row[:a] + j]

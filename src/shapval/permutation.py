@@ -94,8 +94,8 @@ def sample_orderings(
     The whole block comes from one stream keyed on (seed, tag, chunk
     index): each row of a tiled ``arange`` is shuffled independently.
     """
-    g = stream(seed, tag, chunk_index)
-    return g.permuted(np.tile(np.arange(n_players), (count, 1)), axis=1)
+    perms = np.tile(np.arange(n_players), (count, 1))
+    return stream(seed, tag, chunk_index).permuted(perms, axis=1, out=perms)
 
 
 def _ordered_marginals(
@@ -106,11 +106,15 @@ def _ordered_marginals(
 
     The orderings are ``sample_orderings(seed, tag, chunk_index, ...)``,
     so a chunk's rows depend only on its index, not on the thread or the
-    order in which chunks run.
+    order in which chunks run.  Column 0 is the first prefix's value and
+    the rest are ``np.diff(vals, axis=1)``, the same subtractions.
     """
     perms = sample_orderings(seed, tag, chunk_index, count, game.n_players)
     vals = game._values_of_orderings(perms)
-    return perms, np.concatenate([vals[:, :1], np.diff(vals, axis=1)], axis=1)
+    marginals = np.empty_like(vals, order="C")
+    marginals[:, 0] = vals[:, 0]
+    np.subtract(vals[:, 1:], vals[:, :-1], out=marginals[:, 1:])
+    return perms, marginals
 
 
 def marginal_chunk(game: Game, seed: int, tag: str, chunk_index: int, count: int) -> np.ndarray:

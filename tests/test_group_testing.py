@@ -89,6 +89,20 @@ class TestPlan:
             plan = GroupTestPlan(n)
             assert plan.q_tot == pytest.approx(1.0 - 2.0 / plan.z_norm, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [2, 3, 17, 63, 1000])
+    def test_fields_are_the_scalar_formulas(self, n):
+        # Z = 2 sum_k 1/k; q_tot = sum_k q(k) P(size-k test treats a pair alike)
+        z = 2.0 * math.fsum(1.0 / k for k in range(1, n))
+        q = [(1.0 / z) * (1.0 / k + 1.0 / (n - k)) for k in range(1, n)]
+        q_tot = math.fsum(
+            [((n - 2) / n) * q[0]]
+            + [q[k - 1] * (1.0 + (2.0 * k * (k - n)) / (n * (n - 1))) for k in range(2, n)]
+        )
+        plan = GroupTestPlan(n)
+        assert plan.z_norm == z
+        assert plan.q.tolist() == q
+        assert plan.q_tot == q_tot
+
     def test_rejects_single_player(self):
         with pytest.raises(ValueError):
             GroupTestPlan(1)
