@@ -35,6 +35,7 @@ from .games import (
     make_symmetric_game,
     make_voting_game,
 )
+from .parallel import _MAX_THREADS
 from .results import ResultRecord, _csv_text, write_record
 
 if TYPE_CHECKING:
@@ -202,6 +203,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{_FLAGS[name]} must be positive, got {value}")
+        if self.threads is not None and self.threads > _MAX_THREADS:
+            raise ConfigError(f"--threads must be at most {_MAX_THREADS}, got {self.threads}")
         if self.game_kind == "random" and self.players > RANDOM_GAME_PLAYERS:
             raise ConfigError(
                 f"--players must be at most {RANDOM_GAME_PLAYERS} for random games,"

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .games import Game, ValueVector, _masks
-from .parallel import check_count, chunk_ranges, ordered_chunk_map
+from .parallel import check_count, chunk_ranges, ordered_chunk_map, resolve_threads
 from .permutation import ORDERING_CHUNK, _check_accuracy, sample_orderings
 from .rng import stream
 
@@ -172,7 +172,7 @@ def _uniform_subsets(g: np.random.Generator, ks: np.ndarray, n: int) -> np.ndarr
 
 def _draw_tests(plan: GroupTestPlan, seed: int, chunk_index: int, count: int) -> np.ndarray:
     """Boolean (count, N) membership of one chunk's tests, drawn from a
-    stream keyed on the chunk index, so any thread draws the same tests;
+    stream keyed on the chunk index, so the tests depend only on that index;
     the sizes are those of ``Generator.choice`` with p = q.
     """
     g = stream(seed, "group-test", chunk_index)
@@ -188,20 +188,23 @@ def _test_chunk(
     return member.T.astype(np.float64) @ utils
 
 
-def run_tests(game: Game, t_tests: int, seed: int, *, threads: int | None = None) -> np.ndarray:
+def run_tests(game: Game, t_tests: int, seed: int) -> np.ndarray:
     """Execute t_tests pooled tests of ``GroupTestPlan(N)``; returns the (N,) potentials.
 
     potentials[i] = (Z / T) * sum_t u_t beta_ti, one utility evaluation
     per test, so the difference estimate of s_i - s_j is
     delta_u[i, j] = potentials[i] - potentials[j].  Each chunk of tests
     returns only its per-player sums, so no mask or utility outlives it.
+    The chunks run on the calling thread only: a chunk is dozens of short
+    numpy calls that hold the interpreter lock, so at every N a ``Game``
+    allows a second thread only trades the lock and runs slower.
     """
     check_count("t_tests", t_tests)
     plan = GroupTestPlan(game.n_players)
     total = ordered_chunk_map(
         lambda i, lo, hi: _test_chunk(game, plan, seed, i, lo, hi),
         chunk_ranges(t_tests, _TEST_CHUNK),
-        threads,
+        1,
     )
     return (plan.z_norm / t_tests) * total
 
@@ -337,13 +340,18 @@ def estimate_group_testing(
     the N-1 differences and no sqrt(N) factor, so its guarantee is per
     player: max_i |s_hat_i - s_i| <= epsilon (l-infinity norm) with
     probability 1 - delta.
+
+    ``threads`` reaches only the baseline player's ordering chunks.  The
+    pooled tests of both routes run on the calling thread, since their
+    kernel holds the interpreter lock (see ``run_tests``).
     """
     _check_accuracy(game.range_r, epsilon, delta)
+    threads = resolve_threads(threads)  # refused even where no chunk spends it
     if recovery == "feasibility":
         t = t_tests if t_tests is not None else required_tests(
             game.n_players, epsilon, delta, game.range_r
         )
-        potentials = run_tests(game, t, seed, threads=threads)
+        potentials = run_tests(game, t, seed)
         return ValueVector(
             potentials + (game.u_total - potentials.sum()) / game.n_players,
             method="group-test-feasibility",
@@ -355,7 +363,7 @@ def estimate_group_testing(
     if recovery == "baseline":
         split = optimize_split_constants(game.n_players, epsilon, delta, game.range_r)
         t1 = t_tests if t_tests is not None else split.m1
-        potentials = run_tests(game, t1, seed, threads=threads)
+        potentials = run_tests(game, t1, seed)
         orderings = max(1, math.ceil(split.m2 / 2))
         s_star, baseline_evals = _baseline_player_value(game, orderings, seed, threads)
         values = s_star + (potentials - potentials[0])

@@ -32,20 +32,27 @@ if TYPE_CHECKING:
     from concurrent.futures import Future, ThreadPoolExecutor
 
 THREADS_ENV = "SHAPVAL_THREADS"
+_MAX_THREADS = 256  # a call starts up to this many - 1 helper threads
 
 
 def resolve_threads(requested: int | None = None) -> int:
     """Worker count: explicit request capped by the SHAPVAL_THREADS env var.
 
-    ``None`` is no request; an explicit request must be an integer of at
-    least 1 (a bool is not one).  A set but empty variable is no cap; any
-    other value must be a positive integer.  Either violation raises
-    ``ConfigError``.
+    ``None`` is no request; an explicit request must be an integer from 1
+    to ``_MAX_THREADS`` (a bool is not one).  A set but empty variable is
+    no cap; any other value must be an integer in the same range.  Either
+    violation raises ``ConfigError``, so no count can ask the pool for
+    more threads than the bound.
     """
     if requested is not None and (
-        isinstance(requested, bool) or not isinstance(requested, numbers.Integral) or requested < 1
+        isinstance(requested, bool)
+        or not isinstance(requested, numbers.Integral)
+        or not 1 <= requested <= _MAX_THREADS
     ):
-        raise ConfigError(f"worker count must be an integer of at least 1, got {requested!r}")
+        raise ConfigError(
+            f"worker count must be an integer of at least 1 and at most {_MAX_THREADS},"
+            f" got {requested!r}"
+        )
     raw = os.environ.get(THREADS_ENV, "").strip()
     if not raw:
         return requested or 1
@@ -53,8 +60,11 @@ def resolve_threads(requested: int | None = None) -> int:
         cap = int(raw)
     except ValueError:
         cap = 0
-    if cap < 1:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    if not 1 <= cap <= _MAX_THREADS:
+        raise ConfigError(
+            f"{THREADS_ENV} must be an integer of at least 1 and at most {_MAX_THREADS},"
+            f" got {raw!r}"
+        )
     return min(requested or cap, cap)
 
 

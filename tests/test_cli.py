@@ -518,7 +518,7 @@ class TestRejectedInputs:
         assert main([method, "--config", str(cfg)]) == EXIT_BAD_CONFIG
         assert method in one_line_error(capsys)
 
-    @pytest.mark.parametrize("value", ["0", "-4"])
+    @pytest.mark.parametrize("value", ["0", "-4", "257", "99999999999999999999"])
     def test_threads_must_be_positive(self, value, tmp_path, capsys):
         assert main(["exact", "--game", "glove", "--threads", value]) == EXIT_BAD_CONFIG
         one_line_error(capsys)
@@ -547,7 +547,7 @@ class TestRejectedInputs:
         assert main([*argv, "--config", str(cfg)]) == EXIT_BAD_CONFIG
         assert f"--{flag} must be positive" in one_line_error(capsys)
 
-    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3", "257"])
     def test_threads_variable_must_be_a_positive_integer(self, value, monkeypatch, capsys):
         monkeypatch.setenv("SHAPVAL_THREADS", value)
         argv = ["perm", "--game", "glove", "--permutations", "3"]

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import binom, chi2
 
+import shapval.parallel
 from shapval import (
     GroupTestPlan,
     estimate_group_testing,
@@ -22,6 +23,7 @@ from shapval import (
     required_tests,
     run_tests,
 )
+from shapval.errors import ConfigError
 from shapval.group_testing import (
     _TEST_CHUNK,
     _baseline_budgets,
@@ -240,12 +242,12 @@ class TestRunTests:
         # a chunk keeps only its 63 sums, so 18 more chunks add ~11 kB; keeping
         # every test's mask and utility (16 B per test) would add ~1.2 MB
         game = make_additive_game(np.ones(63))
-        run_tests(game, 2 * _TEST_CHUNK, seed=4, threads=1)
+        run_tests(game, 2 * _TEST_CHUNK, seed=4)
 
         def peak(chunks):
             tracemalloc.start()
             try:
-                run_tests(game, chunks * _TEST_CHUNK, seed=4, threads=1)
+                run_tests(game, chunks * _TEST_CHUNK, seed=4)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -291,13 +293,6 @@ class TestRunTests:
         stderr = stats.std(ddof=1) / math.sqrt(t)
         assert abs(stats.mean() - exact) <= 3.0 * stderr
 
-    def test_deterministic_across_thread_counts(self, monkeypatch):
-        monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
-        g = make_random_game(6, seed=12)
-        one = run_tests(g, 9000, seed=1, threads=1)
-        eight = run_tests(g, 9000, seed=1, threads=8)
-        assert np.array_equal(one, eight)
-
     def test_activation_is_a_uniform_k_subset(self):
         # 40 000 tests over ten 4096-test chunks at N=5
         assert_uniform_k_subsets(5, 40_000, seed=23)
@@ -320,14 +315,6 @@ class TestRunTests:
             counts = ((rows[:, None] >> np.arange(n)) & 1).sum(axis=0)
             lo, hi = binom.ppf([1e-6, 1.0 - 1e-6], rows.size, k / n)
             assert np.all((lo <= counts) & (counts <= hi)), k
-
-    def test_identical_across_thread_counts_at_63_players(self, monkeypatch):
-        monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
-        g = make_additive_game(np.linspace(0.1, 1.0, 63))
-        t = 3 * _TEST_CHUNK + 17
-        one = run_tests(g, t, seed=2, threads=1)
-        two = run_tests(g, t, seed=2, threads=2)
-        assert one.tobytes() == two.tobytes()
 
 
 class TestRecoverFeasibility:
@@ -494,6 +481,34 @@ class TestEstimator:
         one = estimate_group_testing(g, 0.2, 0.1, seed=4, recovery="baseline", threads=1)
         two = estimate_group_testing(g, 0.2, 0.1, seed=4, recovery="baseline", threads=2)
         assert np.array_equal(one.values, two.values)
+
+    def test_threads_reach_only_the_baseline_orderings(self, monkeypatch):
+        # pooled tests run on the calling thread whatever the worker count;
+        # only the baseline player's ordering chunks ask the pool for helpers
+        monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
+        requested = []
+
+        def record(work, count):
+            requested.append(count)
+            return []  # the caller runs every chunk itself
+
+        monkeypatch.setattr(shapval.parallel, "_start_helpers", record)
+        w = np.linspace(0.1, 1.0, 63)
+        game = make_additive_game(w / w.sum())
+        estimate_group_testing(game, 0.3, 0.1, seed=1, t_tests=5 * _TEST_CHUNK, threads=4)
+        assert requested == [0]
+        requested.clear()
+        estimate_group_testing(game, 0.3, 0.1, seed=1, recovery="baseline", threads=4)
+        assert requested == [0, 3]  # the m1 pooled tests, then six chunks of orderings
+
+    @pytest.mark.parametrize("threads", [0, 257])
+    @pytest.mark.parametrize("recovery", ["feasibility", "baseline"])
+    def test_worker_count_checked_on_both_routes(self, recovery, threads, monkeypatch):
+        monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
+        g = make_glove_game()
+        with pytest.raises(ConfigError, match="worker count"):
+            estimate_group_testing(g, 0.5, 0.1, seed=0, recovery=recovery, t_tests=100, threads=threads)
+        assert g.eval_count == 0
 
     @pytest.mark.parametrize(
         "name, epsilon, delta",

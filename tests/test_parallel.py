@@ -230,14 +230,21 @@ def group_test_values(threads):
     ).values.tobytes()
 
 
+def baseline_values(threads):
+    # the baseline player's orderings span six chunks, so two threads start a helper
+    return estimate_group_testing(
+        GAME, 0.3, 0.1, seed=3, recovery="baseline", threads=threads
+    ).values.tobytes()
+
+
 def _child_values(conn):
-    conn.send(group_test_values(2))
+    conn.send(baseline_values(2))
     conn.close()
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
 def test_forked_child_after_a_threaded_call():
-    parent = group_test_values(2)
+    parent = baseline_values(2)
     assert any(t.name.startswith("shapval") for t in threading.enumerate())
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
@@ -261,7 +268,7 @@ def test_estimators_identical_at_one_two_and_three_threads():
         t = 3 * ORDERING_CHUNK + 5
         return [
             group_test_values(threads),
-            estimate_group_testing(GAME, 0.3, 0.1, seed=3, recovery="baseline", threads=threads).values.tobytes(),
+            baseline_values(threads),
             estimate_compressive(GAME, 16, t, 0.1, seed=3, threads=threads).values.tobytes(),
             estimate_permutation(GAME, PermutationBudget(t), seed=3, threads=threads).values.tobytes(),
         ]

@@ -173,7 +173,10 @@ class TestSamplingProperties:
 class TestResolveThreads:
     @pytest.mark.parametrize(
         "env, requested, expected",
-        [(None, None, 1), (None, 4, 4), ("", 4, 4), ("3", None, 3), ("3", 8, 3), (" 3 ", 2, 2)],
+        [
+            (None, None, 1), (None, 4, 4), ("", 4, 4), ("3", None, 3), ("3", 8, 3), (" 3 ", 2, 2),
+            (None, 256, 256), ("256", None, 256), ("256", 256, 256),
+        ],
     )
     def test_request_capped_by_variable(self, env, requested, expected, monkeypatch):
         monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
@@ -181,13 +184,13 @@ class TestResolveThreads:
             monkeypatch.setenv("SHAPVAL_THREADS", env)
         assert resolve_threads(requested) == expected
 
-    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3", "257", "99999999999999999999"])
     def test_variable_must_be_a_positive_integer(self, value, monkeypatch):
         monkeypatch.setenv("SHAPVAL_THREADS", value)
         with pytest.raises(ConfigError, match="SHAPVAL_THREADS"):
             resolve_threads(2)
 
-    @pytest.mark.parametrize("requested", [0, -3, True, False, 2.5, 2.0, "2"])
+    @pytest.mark.parametrize("requested", [0, -3, True, False, 2.5, 2.0, "2", 257, 10**20])
     def test_explicit_request_must_be_positive(self, requested, monkeypatch):
         monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
         with pytest.raises(ConfigError, match="at least 1"):

@@ -136,7 +136,7 @@ def test_decoded_utilities(games):
 def test_group_testing(games, threads):
     # 10 001 tests: two full 4096-test chunks and a partial one
     additive, plan = games[0], GroupTestPlan(63)
-    potentials = run_tests(additive, 10_001, 21, threads=threads)
+    potentials = run_tests(additive, 10_001, 21)
     _, utils = drawn_tests(additive, plan, 10_001, 21)
     assert digest(np.concatenate([utils, potentials])) == (
         "8ecd7a73df8ec9b7ec6fc16fbe40aef8ebc87cd70cd7096af75a2a49c5133a23"
@@ -150,7 +150,6 @@ def test_group_testing(games, threads):
     )
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize(
     "n, drawn_sha, potentials_sha",
     [
@@ -176,7 +175,7 @@ def test_group_testing(games, threads):
         ),
     ],
 )
-def test_group_testing_below_63_players(n, drawn_sha, potentials_sha, threads):
+def test_group_testing_below_63_players(n, drawn_sha, potentials_sha):
     # 5 000 tests: one full chunk and a partial one; the test-size draw
     # depends on N, so the membership bytes are pinned at several N
     game = make_additive_game(np.random.default_rng(2500 + n).uniform(0.0, 1.0, n))
@@ -184,7 +183,7 @@ def test_group_testing_below_63_players(n, drawn_sha, potentials_sha, threads):
     ranges = chunk_ranges(5_000, _TEST_CHUNK)
     member = np.concatenate([_draw_tests(plan, 25, i, hi - lo) for i, (lo, hi) in enumerate(ranges)])
     assert hashlib.sha256(member.tobytes()).hexdigest() == drawn_sha
-    assert digest(run_tests(game, 5_000, 25, threads=threads)) == potentials_sha
+    assert digest(run_tests(game, 5_000, 25)) == potentials_sha
 
 
 def test_decoded_utilities_across_blocks(games):
