@@ -1,14 +1,15 @@
 """Flat-file dataset loading.
 
-Datasets are CSV files with one row per point: feature columns followed
-by a final label column (`f1,...,fd,label`).  A header row is detected
-and skipped when the feature cells do not parse as numbers.  Labels are
-opaque strings compared for equality only.
+Datasets are UTF-8 CSV files with one row per point: feature columns
+followed by a final label column (`f1,...,fd,label`).  A leading
+byte-order mark is dropped.  A header row is detected and skipped when
+the feature cells do not parse as numbers.  Labels are opaque strings
+compared for equality only.
 """
 
 from __future__ import annotations
 
-import csv
+import io
 from itertools import chain
 from pathlib import Path
 from typing import NoReturn
@@ -25,10 +26,22 @@ def load_labeled_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
     Feature cells are parsed by ``float()``, which ignores surrounding
     whitespace; labels are stripped.  Rows are numbered from 1 among the
-    non-blank rows, header included.
+    non-blank rows, header included.  A file that is not UTF-8 text
+    raises ``ConfigError``.
     """
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"dataset {path} is not UTF-8 text: {exc}") from None
+    return _load_with_csv(path, text)
+
+
+def _load_with_csv(path: str | Path, text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the decoded file ``text`` with the ``csv`` module."""
+    import csv
+
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if "".join(row).strip()]
     if not rows:
         raise ConfigError(f"dataset {path} is empty")
     start = 0

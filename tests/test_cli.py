@@ -235,6 +235,12 @@ class TestMainExitCodes:
         code = main(["knn", "--train", str(missing), "--test", str(missing), "--k", "1"])
         assert code == EXIT_UNREADABLE
 
+    def test_undecodable_dataset_is_a_config_error_naming_the_file(self, tmp_path, capsys):
+        train, test = write_knn_files(tmp_path)
+        train.write_bytes(b"1.0,pos\n\xff2.0,neg\n")
+        assert main(["knn", "--train", str(train), "--test", str(test), "--k", "1"]) == EXIT_BAD_CONFIG
+        assert f"dataset {train} is not UTF-8 text" in one_line_error(capsys)
+
     def test_oracle_guard_exit(self, capsys):
         weights = ",".join(["1"] * 21)
         code = main(["exact", "--game", "additive", "--weights", weights, "--with-oracle"])

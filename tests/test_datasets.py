@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from shapval.datasets import load_labeled_csv
+from shapval.datasets import _load_with_csv, load_labeled_csv
 from shapval.errors import ConfigError
 
 
@@ -108,3 +111,91 @@ class TestCells:
         assert x.dtype == np.float64 and x.shape == (3, 1)
         assert y.dtype == object and y.shape == (3,)
         assert y.tolist() == ["1", "-1", "1.0"]
+
+
+class TestEncoding:
+    @pytest.mark.parametrize("text", ["a,label\n1.0,p\n2,q\n", "1.0,p\n2,q\n"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        x, y = load_labeled_csv(path)
+        assert x.tolist() == [[1.0], [2.0]]
+        assert y.tolist() == ["p", "q"]
+
+    def test_undecodable_file_is_a_config_error_naming_it(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"1,p\n\xff,q\n")
+        with pytest.raises(ConfigError, match=r"data\.csv is not UTF-8 text: .*0xff"):
+            load_labeled_csv(path)
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: "%g" % v),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.6E" % v),
+    st.integers(-(10**6), 10**6).map(str),
+)
+ODD_CELLS = st.sampled_from(["inf", "-Infinity", "nan", "1e999", "1_0", "x", "", " ", "\uff11"])
+PADS = st.sampled_from(["", " ", "\t", "  "])
+LABELS = st.sampled_from(["p", "q", "-1", "1.0", " two words ", "#tag", "a#b", '"a, b"', '" c "'])
+BLANK_ROWS = st.sampled_from(["", "   ", "\t", " , ", ","])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw):
+    """Dataset text: mostly well-formed rows, sometimes blank, ragged or odd ones."""
+    width = draw(st.integers(1, 3))
+
+    def feature():
+        kind = draw(st.sampled_from(["number"] * 6 + ["padded", "odd"]))
+        if kind == "odd":
+            return draw(ODD_CELLS)
+        cell = draw(NUMBERS)
+        return draw(PADS) + cell + draw(PADS) if kind == "padded" else cell
+
+    rows = []
+    if draw(st.booleans()):
+        rows.append(",".join(draw(st.sampled_from(["a", "1", "label"])) for _ in range(width + 1)))
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["data"] * 6 + ["blank", "ragged"]))
+        if kind == "blank":
+            rows.append(draw(BLANK_ROWS))
+            continue
+        cells = [feature() for _ in range(width)] + [draw(LABELS)]
+        if kind == "ragged":
+            cells = cells[1:] if draw(st.booleans()) else [*cells, draw(LABELS)]
+        rows.append(",".join(cells))
+    if draw(st.integers(0, 9)) == 0:  # a mix of line ends
+        ends = [draw(LINE_ENDS) for _ in rows]
+        return "".join(row + end for row, end in zip(rows, ends))
+    end = draw(LINE_ENDS)
+    return end.join(rows) + (end if draw(st.booleans()) else "")
+
+
+def outcome(load, *args):
+    """What a loader returns, down to the bytes, or its ConfigError text."""
+    try:
+        x, y = load(*args)
+    except ConfigError as exc:
+        return str(exc)
+    return x.dtype, x.shape, x.tobytes(), y.dtype, y.shape, [(type(v), v) for v in y]
+
+
+class TestCsvModuleEquivalence:
+    """Whatever parses a file, the result is the ``csv``-module path's."""
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts(), bom=st.booleans())
+    @example(text="a,b,label\n", bom=False)
+    @example(text="a,label\n\n   \n", bom=False)
+    @example(text="1,p\r2,q\r", bom=False)
+    @example(text="1,p\r\n\r\n2,q", bom=True)
+    def test_loader_matches_the_csv_module_path(self, tmp_path, text, bom):
+        path = tmp_path / "data.csv"
+        path.write_bytes(("\ufeff" if bom else "").encode() + text.encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = outcome(load_labeled_csv, path)
+        assert not caught
+        assert got == outcome(_load_with_csv, path, text)
