@@ -5,6 +5,16 @@ followed by a final label column (`f1,...,fd,label`).  A leading
 byte-order mark is dropped.  A header row is detected and skipped when
 the feature cells do not parse as numbers.  Labels are opaque strings
 compared for equality only.
+
+The ``csv`` module's reading (``_load_with_csv``) is the contract and
+the only source of error messages.  A plain file, whose cells the
+``csv`` module would split at commas and line ends alone, is parsed by
+numpy's C reader in one pass instead, with the same result: the reader
+converts a number with the same correctly rounded routine as
+``float()`` and skips an empty line as the ``csv`` path drops it.  It
+refuses a row of another width and a cell it cannot convert (a blank
+one, digit underscores, non-ASCII digits), so a whitespace-only row
+too; a refused file goes to the ``csv`` path.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from __future__ import annotations
 import io
 from itertools import chain
 from pathlib import Path
-from typing import NoReturn
+from typing import NoReturn, TextIO
 
 import numpy as np
 
@@ -32,9 +42,72 @@ def load_labeled_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
+            # numpy reads the rewound file in chunks; a pipe cannot be rewound
+            source = fh if fh.seekable() else io.StringIO(text)
+            source.seek(0)
+            plain = _load_plain(text, source)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"dataset {path} is not UTF-8 text: {exc}") from None
-    return _load_with_csv(path, text)
+    return plain if plain is not None else _load_with_csv(path, text)
+
+
+# A quote makes the csv module join and unquote cells; numpy strips the
+# separators \x1c-\x1f around a number and float() does not.
+_NOT_PLAIN = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _load_plain(text: str, fh: TextIO) -> tuple[np.ndarray, np.ndarray] | None:
+    """Parse ``fh``, which reads ``text``, with numpy's reader, or None for the csv path.
+
+    The file must hold none of ``_NOT_PLAIN`` and end its lines with LF
+    or CRLF only: the csv module also ends a row at a lone CR, so a
+    first line holding one may hold data rows that numpy would skip as a
+    header.  The header check is the csv path's, on the first line:
+    numpy refuses a whitespace-only row, so a file it parses has a blank
+    first line only if that line was taken for a header and skipped, as
+    the csv path drops it.
+    """
+    if any(mark in text for mark in _NOT_PLAIN):
+        return None
+    if "\r" in text and text.count("\r") != text.count("\r\n"):
+        return None
+    cells, after = _cells_at(text, 0)
+    start = int(_is_header(cells))
+    if start:
+        cells, _ = _cells_at(text, after)
+    if len(cells) < 2:
+        return None  # the csv path words the refusal
+    try:
+        table = np.loadtxt(
+            fh,
+            dtype=[("x", "f8", (len(cells) - 1,)), ("y", "O")],
+            delimiter=",",
+            comments=None,
+            quotechar=None,
+            skiprows=start,
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    labels = np.array([label.strip() for label in table["y"]], dtype=object)
+    return np.ascontiguousarray(table["x"]), labels
+
+
+def _cells_at(text: str, pos: int) -> tuple[list[str], int]:
+    """The cells of the plain line at ``pos`` and the position after its line end."""
+    end = text.find("\n", pos)
+    if end < 0:
+        end = len(text)
+    return text[pos:end].removesuffix("\r").split(","), end + 1
+
+
+def _is_header(row: list[str]) -> bool:
+    """The first non-blank row is a header when a feature cell is not a number."""
+    try:
+        [float(cell) for cell in row[:-1]]
+    except ValueError:
+        return True
+    return False
 
 
 def _load_with_csv(path: str | Path, text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -44,11 +117,7 @@ def _load_with_csv(path: str | Path, text: str) -> tuple[np.ndarray, np.ndarray]
     rows = [row for row in csv.reader(io.StringIO(text, newline="")) if "".join(row).strip()]
     if not rows:
         raise ConfigError(f"dataset {path} is empty")
-    start = 0
-    try:
-        [float(cell) for cell in rows[0][:-1]]
-    except ValueError:
-        start = 1  # header row
+    start = int(_is_header(rows[0]))
     data = rows[start:]
     if not data:
         raise ConfigError(f"dataset {path} has no data rows")

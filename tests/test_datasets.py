@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from shapval import datasets
 from shapval.datasets import _load_with_csv, load_labeled_csv
 from shapval.errors import ConfigError
 
@@ -122,6 +124,18 @@ class TestEncoding:
         assert x.tolist() == [[1.0], [2.0]]
         assert y.tolist() == ["p", "q"]
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_is_read_like_a_file(self):
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"a,label\n1.0,p\n2,q\n")
+        os.close(write_end)
+        try:
+            x, y = load_labeled_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert x.tolist() == [[1.0], [2.0]]
+        assert y.tolist() == ["p", "q"]
+
     def test_undecodable_file_is_a_config_error_naming_it(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_bytes(b"1,p\n\xff,q\n")
@@ -135,11 +149,11 @@ NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.6E" % v),
     st.integers(-(10**6), 10**6).map(str),
 )
-ODD_CELLS = st.sampled_from(["inf", "-Infinity", "nan", "1e999", "1_0", "x", "", " ", "\uff11"])
+ODD_CELLS = st.sampled_from(["inf", "-Infinity", "nan", "1e999", "1_0", "x", "", " ", "\uff11", "\x1c1"])
 PADS = st.sampled_from(["", " ", "\t", "  "])
 LABELS = st.sampled_from(["p", "q", "-1", "1.0", " two words ", "#tag", "a#b", '"a, b"', '" c "'])
 BLANK_ROWS = st.sampled_from(["", "   ", "\t", " , ", ","])
-LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
 
 
 @st.composite
@@ -190,7 +204,9 @@ class TestCsvModuleEquivalence:
     @example(text="a,b,label\n", bom=False)
     @example(text="a,label\n\n   \n", bom=False)
     @example(text="1,p\r2,q\r", bom=False)
+    @example(text="1,p\r2,q\n3,r\n", bom=False)
     @example(text="1,p\r\n\r\n2,q", bom=True)
+    @example(text=" , \n1,p\n\x1c2,q\n", bom=False)
     def test_loader_matches_the_csv_module_path(self, tmp_path, text, bom):
         path = tmp_path / "data.csv"
         path.write_bytes(("\ufeff" if bom else "").encode() + text.encode())
@@ -199,3 +215,45 @@ class TestCsvModuleEquivalence:
             got = outcome(load_labeled_csv, path)
         assert not caught
         assert got == outcome(_load_with_csv, path, text)
+
+
+class TestReaderChoice:
+    """Plain files take numpy's reader; the rest, and what it refuses, the csv module."""
+
+    @pytest.fixture
+    def csv_calls(self, monkeypatch):
+        calls = []
+
+        def spy(path, text):
+            calls.append(text)
+            return _load_with_csv(path, text)
+
+        monkeypatch.setattr(datasets, "_load_with_csv", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1,p\n2,q\n", "a,b\r\n1, 2 ,p\r\n\r\n3,4,q", " 1 ,#p\n\n-inf,\tq \n", "1e999,p\n", " , \n1,p\n"],
+    )
+    def test_plain_file(self, tmp_path, csv_calls, text):
+        assert outcome(load, tmp_path, text) == outcome(_load_with_csv, tmp_path / "data.csv", text)
+        assert csv_calls == []
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '1,"p"\n',  # a quote
+            "1,p\r2,q\n3,r\n",  # a lone CR, which numpy would skip over with the header
+            "1,p\n2\x1c,q\n",  # a separator numpy strips and float() does not
+            "\n1,p\n",  # an empty first row
+            "a,b\n\n1,p\n",  # an empty row after the header
+            "1,p\n  \n2,q\n",  # a whitespace-only row
+            "1_0,p\n",  # a cell only float() parses
+            "1,p\n2,3,q\n",  # a ragged row
+            "a,b\n",  # no data rows
+            "p\n",  # no feature column
+        ],
+    )
+    def test_other_file(self, tmp_path, csv_calls, text):
+        outcome(load, tmp_path, text)
+        assert len(csv_calls) == 1
