@@ -14,7 +14,8 @@ converts a number with the same correctly rounded routine as
 ``float()`` and skips an empty line as the ``csv`` path drops it.  It
 refuses a row of another width and a cell it cannot convert (a blank
 one, digit underscores, non-ASCII digits), so a whitespace-only row
-too; a refused file goes to the ``csv`` path.
+too; a refused file goes to the ``csv`` path.  Only the ``csv`` path
+refuses a cell over ``csv.field_size_limit()`` characters.
 """
 
 from __future__ import annotations
@@ -114,7 +115,11 @@ def _load_with_csv(path: str | Path, text: str) -> tuple[np.ndarray, np.ndarray]
     """Parse the decoded file ``text`` with the ``csv`` module."""
     import csv
 
-    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if "".join(row).strip()]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [row for row in reader if "".join(row).strip()]
+    except csv.Error as exc:  # a cell over csv.field_size_limit()
+        raise ConfigError(f"dataset {path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ConfigError(f"dataset {path} is empty")
     start = int(_is_header(rows[0]))

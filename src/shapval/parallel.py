@@ -3,11 +3,10 @@
 Work is split into fixed chunks, each drawing its randomness from one
 stream keyed on its chunk index; each chunk's result is added to a
 running total once every lower-index chunk's has been, so the total is
-bitwise identical for every worker count; only results that finished
-out of order are held, at most four per thread.  Chunk boundaries
-depend only on the total and the chunk size, which makes the chunk size
-part of the output contract: for a given seed, changing it changes the
-values.
+bitwise identical for every worker count and no more results are held
+than finished out of order.  Chunk boundaries depend only on the total
+and the chunk size, which makes the chunk size part of the output
+contract: for a given seed, changing it changes the values.
 
 A call with ``threads`` workers runs chunks on the calling thread and
 on up to ``threads - 1`` helper threads (named ``shapval…``) of one
@@ -34,7 +33,6 @@ if TYPE_CHECKING:
 
 THREADS_ENV = "SHAPVAL_THREADS"
 _MAX_THREADS = 256  # a call starts up to this many - 1 helper threads
-_AHEAD = 4  # per thread: how far claims may run past the next chunk to add
 
 
 def resolve_threads(requested: int | None = None) -> int:
@@ -120,33 +118,23 @@ def ordered_chunk_map(
     increasing index order, and a finished result waits in ``pending``
     only until every lower index has been added: the additions of
     ``total = parts[0]; total += parts[1]; ...``, in that order, since
-    floating-point addition is not associative.  No chunk at or past
-    ``added + _AHEAD * threads`` is claimed, so at most that many results
-    are ever held; a thread at the limit waits for the next addition.
-    Once a chunk fails no new chunk is claimed; the chunks already
-    running finish and the lowest-index failure is raised, which is the
-    error one thread would have raised.  No chunk is running when the
-    call returns or raises.
+    floating-point addition is not associative.  Once a chunk fails no
+    new chunk is claimed; the chunks already running finish and the
+    lowest-index failure is raised, which is the error one thread would
+    have raised.  No chunk is running when the call returns or raises.
     """
     threads = resolve_threads(threads)
     n = len(ranges)
-    ahead = _AHEAD * threads
     pending: dict[int, np.ndarray] = {}
     errors: dict[int, BaseException] = {}
     lock = threading.Lock()
-    progress = threading.Condition(lock)
-    claimed = added = waiting = 0
+    claimed = added = 0
     total = None
 
     def work() -> None:
-        nonlocal claimed, added, waiting, total
+        nonlocal claimed, added, total
         while True:
             with lock:
-                # chunk `added` is running, and its thread notifies when it ends
-                while not errors and added + ahead <= claimed < n:
-                    waiting += 1
-                    progress.wait()
-                    waiting -= 1
                 if errors or claimed == n:
                     return
                 i = claimed
@@ -157,7 +145,6 @@ def ordered_chunk_map(
             except BaseException as exc:  # raised by the caller below
                 with lock:
                     errors[i] = exc
-                    progress.notify_all()
                 return
             with lock:
                 pending[i] = part
@@ -168,8 +155,6 @@ def ordered_chunk_map(
                     else:
                         total += part
                     added += 1
-                if waiting:  # notify_all costs a microsecond on every chunk
-                    progress.notify_all()
 
     helpers = _start_helpers(work, min(threads, n) - 1)
     try:
@@ -177,7 +162,6 @@ def ordered_chunk_map(
     finally:
         with lock:
             claimed = n  # the caller may be leaving on an interrupt
-            progress.notify_all()
         for helper in helpers:
             if not helper.cancel():
                 helper.result()

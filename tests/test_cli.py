@@ -241,6 +241,12 @@ class TestMainExitCodes:
         assert main(["knn", "--train", str(train), "--test", str(test), "--k", "1"]) == EXIT_BAD_CONFIG
         assert f"dataset {train} is not UTF-8 text" in one_line_error(capsys)
 
+    def test_cell_over_the_csv_field_limit_is_a_config_error(self, tmp_path, capsys):
+        train, test = write_knn_files(tmp_path)
+        train.write_text(f'1.0,pos\n2.0,"{"n" * 200_000}"\n')
+        assert main(["knn", "--train", str(train), "--test", str(test), "--k", "1"]) == EXIT_BAD_CONFIG
+        assert f"dataset {train}: line 2: field larger than field limit" in one_line_error(capsys)
+
     def test_oracle_guard_exit(self, capsys):
         weights = ",".join(["1"] * 21)
         code = main(["exact", "--game", "additive", "--weights", weights, "--with-oracle"])

@@ -257,3 +257,12 @@ class TestReaderChoice:
     def test_other_file(self, tmp_path, csv_calls, text):
         outcome(load, tmp_path, text)
         assert len(csv_calls) == 1
+
+    def test_cell_over_the_csv_field_limit(self, tmp_path, csv_calls):
+        # numpy has no field limit; the csv module's refusal is a ConfigError
+        long_label = "p" * 200_000
+        x, y = load(tmp_path, f"1,{long_label}\n")
+        assert x.tolist() == [[1.0]] and y.tolist() == [long_label]
+        assert csv_calls == []
+        with pytest.raises(ConfigError, match=r"data\.csv: line 2: field larger than field limit"):
+            load(tmp_path, f'1,p\n2,"{long_label}"\n')

@@ -2,12 +2,11 @@
 
 Chunks run on the calling thread and on helper threads of one shared
 pool.  Results are added in chunk order, whatever order they finish in,
-and only those that finish out of order are held, at most four per
-thread; the lowest-index failure is the error raised, nothing is left
-running when the call ends, nested calls and forked children complete,
-and repeated calls start no new threads.  The layer caps explicit thread
-counts by ``SHAPVAL_THREADS``, so every test here runs with the variable
-unset.
+and only those that finish out of order are held; the lowest-index
+failure is the error raised, nothing is left running when the call
+ends, nested calls and forked children complete, and repeated calls
+start no new threads.  The layer caps explicit thread counts by
+``SHAPVAL_THREADS``, so every test here runs with the variable unset.
 """
 
 import functools
@@ -114,50 +113,6 @@ def chunk_peak_bytes(chunks):
 def test_memory_does_not_grow_with_the_chunk_count():
     # a list of every chunk's result would hold 400 * 80 kB = 32 MB
     assert chunk_peak_bytes(400) - chunk_peak_bytes(4) < 1_000_000
-
-
-def test_results_held_out_of_order_are_capped():
-    # while chunk 0 sleeps the other thread runs the fast chunks; with nothing
-    # claimed past 4 chunks per thread beyond the next to add, at most 8 are
-    # outstanding, where an uncapped call would hold all 400 results (32 MB)
-    def fn(i, lo, hi):
-        if i == 0:
-            time.sleep(0.2)
-        return np.ones(10_000)
-
-    tracemalloc.start()
-    try:
-        run_bounded(lambda: ordered_chunk_map(fn, chunk_ranges(401, 1), 2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - chunk_peak_bytes(4) < (4 * 2 + 2) * 80_000
-
-
-@pytest.mark.parametrize("fails", [False, True])
-def test_the_helper_wakes_the_caller_waiting_at_the_cap(fails):
-    # the helper's first chunk ends late, while the caller runs on until the
-    # cap stops it; only that chunk's addition, or its failure, can wake the caller
-    helper_claimed = threading.Event()
-
-    def fn(i, lo, hi):
-        if threading.current_thread().name.startswith("shapval") and not helper_claimed.is_set():
-            helper_claimed.set()
-            time.sleep(0.2)
-            if fails:
-                raise RuntimeError(f"chunk {i}")
-        else:
-            assert helper_claimed.wait(JOIN_TIMEOUT)
-        return np.ones(1)
-
-    def call():
-        if not fails:
-            return ordered_chunk_map(fn, chunk_ranges(100, 1), 2).tolist() == [100.0]
-        with pytest.raises(RuntimeError, match="chunk"):
-            ordered_chunk_map(fn, chunk_ranges(100, 1), 2)
-        return True
-
-    assert run_bounded(call)
 
 
 @pytest.mark.parametrize("threads", [1, *THREADS])
