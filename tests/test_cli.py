@@ -235,17 +235,19 @@ class TestMainExitCodes:
         code = main(["knn", "--train", str(missing), "--test", str(missing), "--k", "1"])
         assert code == EXIT_UNREADABLE
 
-    def test_undecodable_dataset_is_a_config_error_naming_the_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            (b"1.0,pos\n\xff2.0,neg\n", " is not UTF-8 text"),
+            (b'1.0,pos\n2.0,"' + b"n" * 200_000 + b'"\n', ": line 2: field larger than field limit"),
+        ],
+        ids=["undecodable", "over_the_csv_field_limit"],
+    )
+    def test_unparsable_dataset_is_a_config_error_naming_the_file(self, tmp_path, capsys, content, error):
         train, test = write_knn_files(tmp_path)
-        train.write_bytes(b"1.0,pos\n\xff2.0,neg\n")
+        train.write_bytes(content)
         assert main(["knn", "--train", str(train), "--test", str(test), "--k", "1"]) == EXIT_BAD_CONFIG
-        assert f"dataset {train} is not UTF-8 text" in one_line_error(capsys)
-
-    def test_cell_over_the_csv_field_limit_is_a_config_error(self, tmp_path, capsys):
-        train, test = write_knn_files(tmp_path)
-        train.write_text(f'1.0,pos\n2.0,"{"n" * 200_000}"\n')
-        assert main(["knn", "--train", str(train), "--test", str(test), "--k", "1"]) == EXIT_BAD_CONFIG
-        assert f"dataset {train}: line 2: field larger than field limit" in one_line_error(capsys)
+        assert f"dataset {train}{error}" in one_line_error(capsys)
 
     def test_oracle_guard_exit(self, capsys):
         weights = ",".join(["1"] * 21)
