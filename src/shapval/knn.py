@@ -19,22 +19,30 @@ prefix's hit count.  Group tests and the exact oracles still score
 coalitions as masks, the one form every game has.
 
 The sort orders training points by distance to the test point, ties by
-ascending index.  Distances are sorted with numpy's default (unstable)
-``argsort``; only when the sorted distances hold an exact adjacent tie
-or a NaN (NaNs sort last) is the sort redone with ``kind="stable"``.
-With distinct finite distances every correct sort gives the same
-permutation, so ``order`` always equals the stable argsort.
+ascending index.  A distance is the sum over features in feature order,
+fl(...fl(D_0^2 + D_1^2)... + D_{d-1}^2), with |D| in place of D^2 for
+Manhattan.  It is summed on a C-ordered (d, N) column copy of the
+training points, one contiguous length-N call per feature, so it does
+not depend on the points' memory layout.  The sort keys are the
+distances' bits (a non-negative double orders as its bit pattern) with
+the low ceil(log2 N) bits replaced by the index, so one sort of the keys
+orders the distances and brings exact ties out in index order.  Only
+distances that differ in the replaced bits alone can come out of order;
+that, or a NaN (NaNs sort last), shows in the sorted distances, and the
+sort is redone with ``argsort(kind="stable")``.  So ``order`` always
+equals the stable argsort of the distances.
 
-A ``KnnInstance`` only validates on construction; it sorts on first
-use of ``order`` or ``matches`` and keeps the result.  Instances built
-for a whole test set therefore hold no per-test arrays.
+A ``KnnInstance`` only validates on construction; it sorts on first use
+of ``order`` or ``matches`` and keeps the result.  Instances built for a
+whole test set therefore hold no per-test arrays.  ``knn_game`` sorts
+all its instances from one column copy of their shared training points.
 ``knn_shapley_testset`` streams the test set without filling those
-caches: it sorts one test point at a time into a reused difference
-buffer, compares the training labels once per distinct test label and
-gathers that row by each test point's order, and adds each test point's
-closed form in test-point order, so its values equal the mean of
-``knn_shapley_exact`` bit for bit.  Its memory is that of one test
-point, whatever the test-set size.
+caches: it sorts one test point at a time from one column copy and
+reused buffers, compares the training labels once per distinct test
+label and gathers that row by each test point's order, and adds each
+test point's closed form in test-point order, so its values equal the
+mean of ``knn_shapley_exact`` bit for bit.  Its memory is that of one
+test point, whatever the test-set size.
 """
 
 from __future__ import annotations
@@ -107,7 +115,7 @@ class KnnInstance:
     @cached_property
     def order(self) -> np.ndarray:
         """Training-point indices by distance to the test point, ties by index."""
-        return _distance_order(self, np.empty_like(self.points))
+        return _distance_order(self, _Sweep(self.points))
 
     @cached_property
     def matches(self) -> np.ndarray:
@@ -119,17 +127,58 @@ class KnnInstance:
         return self.points.shape[0]
 
 
-def _distance_order(instance: KnnInstance, diff: np.ndarray) -> np.ndarray:
-    """The stable argsort of the distances; ``diff`` is an (N, d) scratch buffer."""
-    np.subtract(instance.points, instance.test_point, out=diff)
-    if instance.distance == "euclidean":
-        dist = np.einsum("ij,ij->i", diff, diff)
-    else:
-        dist = np.abs(diff, out=diff).sum(axis=1)
-    order = np.argsort(dist)
+class _Sweep:
+    """One training set's column copy and the buffers each test point reuses."""
+
+    def __init__(self, points: np.ndarray) -> None:
+        n = points.shape[0]
+        self.columns = np.ascontiguousarray(points.T)  # (d, N): one row per feature
+        self.dist = np.empty(n)
+        self.term = np.empty(n)
+
+    def distances(self, test_point: np.ndarray, metric: str) -> np.ndarray:
+        """The distances to ``test_point``, summed over features in feature order.
+
+        The sum starts from +0.0, which adds nothing to a square or an
+        absolute value.
+        """
+        dist, term = self.dist, self.term
+        dist.fill(0.0)
+        for column, x in zip(self.columns, test_point.tolist()):
+            np.subtract(column, x, out=term)
+            if metric == "euclidean":
+                np.multiply(term, term, out=term)
+            else:
+                np.abs(term, out=term)
+            np.add(dist, term, out=dist)
+        return dist
+
+
+def _distance_order(instance: KnnInstance, sweep: _Sweep) -> np.ndarray:
+    """The stable argsort of the distances, from ``sweep`` of the instance's training set."""
+    return _stable_order(sweep.distances(instance.test_point, instance.distance))
+
+
+def _stable_order(dist: np.ndarray) -> np.ndarray:
+    """``np.argsort(dist, kind="stable")`` for distances that are +0.0 or more, or NaN.
+
+    One sort of keys that hold each distance's bits with the low
+    ceil(log2 N) bits replaced by its index.  When the sorted distances
+    decrease somewhere (two distances differed only in those bits) or end
+    in a NaN, the stable argsort is taken instead.  A -0.0 sorts after
+    every +0.0 yet compares equal to it, which that check cannot see, so
+    callers pass none; a sum of squares or absolute values holds none.
+    """
+    n = dist.shape[0]
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    keys = dist.view(np.uint64) & ~low
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort()
+    keys &= low
+    order = keys.view(np.int64)
     near = dist[order]
-    if np.isnan(near[-1]) or np.any(near[1:] == near[:-1]):
-        order = np.argsort(dist, kind="stable")
+    if np.isnan(near[-1]) or np.any(near[1:] < near[:-1]):
+        return np.argsort(dist, kind="stable")
     return order
 
 
@@ -202,6 +251,11 @@ def knn_game(instances: KnnInstance | Sequence[KnnInstance]) -> Game:
     """
     seq = [instances] if isinstance(instances, KnnInstance) else list(instances)
     _check_shared_training(seq)
+    # a distance depends only on the points' values, so one column copy sorts all
+    sweep = _Sweep(seq[0].points)
+    for inst in seq:
+        if "order" not in vars(inst):  # the cached_property's slot
+            vars(inst)["order"] = _distance_order(inst, sweep)
     n = seq[0].n_players
     k = seq[0].k_neighbors
 
@@ -244,28 +298,31 @@ def knn_shapley_exact(instance: KnnInstance) -> ValueVector:
     therefore share exactly equal values.  No utility evaluations are
     consumed.
     """
-    n, k = instance.n_players, instance.k_neighbors
-    values = np.empty(n, dtype=np.float64)
-    values[instance.order] = _sorted_values(instance.matches, k, *_rank_factors(n, k))
+    values = np.empty(instance.n_players, dtype=np.float64)
+    values[instance.order] = _sorted_values(instance.matches, _steps(instance))
     return ValueVector(values, method="knn-exact", eval_count=0)
 
 
-def _rank_factors(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ranks i = 1..N-1 and min(K-1, i-1) + 1, shared by every test point."""
-    ranks = np.arange(1, n, dtype=np.float64)
-    return ranks, np.minimum(k - 1, ranks - 1) + 1.0
+def _steps(instance: KnnInstance) -> np.ndarray:
+    """(1/K) * (min(K-1, i-1) + 1) / i for the ranks i = 1..N-1, shared by every test point."""
+    ranks = np.arange(1, instance.n_players, dtype=np.float64)
+    reach = np.minimum(instance.k_neighbors - 1, ranks - 1) + 1.0
+    return 1.0 / instance.k_neighbors * reach / ranks
 
 
-def _sorted_values(ind: np.ndarray, k: int, ranks: np.ndarray, reach: np.ndarray) -> np.ndarray:
+def _sorted_values(ind: np.ndarray, steps: np.ndarray, scan: np.ndarray | None = None) -> np.ndarray:
     """The closed form in distance order, from the match indicators in that order.
 
-    ``ranks`` and ``reach`` are ``_rank_factors(N, K)``.
+    ``steps`` is ``_steps``; ``scan`` is an optional (N - 1,) scratch
+    buffer.  For a label difference d in {-1, 0, 1}, d * step equals
+    (d / K) * reach / i exactly.
     """
     n = ind.shape[0]
-    increments = (ind[:-1] - ind[1:]) / k * reach / ranks
+    increments = np.multiply(ind[:-1] - ind[1:], steps, out=scan)
+    np.cumsum(increments[::-1], out=increments[::-1])
     sorted_values = np.empty(n, dtype=np.float64)
-    sorted_values[n - 1] = ind[n - 1] / n
-    sorted_values[:-1] = sorted_values[n - 1] + np.cumsum(increments[::-1])[::-1]
+    sorted_values[n - 1] = float(ind[n - 1]) / n
+    np.add(sorted_values[n - 1], increments, out=sorted_values[:-1])
     return sorted_values
 
 
@@ -294,17 +351,18 @@ def knn_shapley_testset(instances: Sequence[KnnInstance]) -> ValueVector:
     computed or kept.
     """
     _check_shared_training(instances)
-    labels = instances[0].labels
+    first = instances[0]
+    labels, n = first.labels, first.n_players
     rows: dict = {}
-    diff = np.empty_like(instances[0].points)
-    total = np.zeros(instances[0].n_players, dtype=np.float64)
-    factors = _rank_factors(instances[0].n_players, instances[0].k_neighbors)
+    sweep = _Sweep(first.points)  # the instances hold equal training points
+    steps = _steps(first)
+    scan, part = np.empty(n - 1), np.empty(n)
+    total = np.zeros(n, dtype=np.float64)
     for inst in instances:
-        if inst.points.strides != diff.strides:  # sum distances in the instance's own layout
-            diff = np.empty_like(inst.points)
-        order = _distance_order(inst, diff)
-        ind = _label_row(rows, labels, inst.test_label)[order].astype(np.float64)
-        total[order] += _sorted_values(ind, inst.k_neighbors, *factors)
+        order = _distance_order(inst, sweep)
+        hit = _label_row(rows, labels, inst.test_label)[order].view(np.int8)
+        part[order] = _sorted_values(hit, steps, scan)  # the additions of total[order] += ...
+        total += part
     return ValueVector(total / len(instances), method="knn-testset", eval_count=0)
 
 

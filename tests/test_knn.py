@@ -192,6 +192,138 @@ class TestSortOrder:
         assert np.array_equal(inst.order, stable_order(points, test_point, distance))
 
 
+# N at the edges of the sort keys' index bits, ceil(log2 N): 2^b and 2^b + 1
+EDGE_SIZES = [2, 3, 4, 5, 8, 9, 64, 65, 1024, 1025]
+
+
+@st.composite
+def distance_arrays(draw):
+    """Distances of +0.0 or more, +inf and NaNs of either sign, with exact
+    ties and near-ties a few ulps apart, which share all but the keys'
+    index bits."""
+    n = draw(st.sampled_from(EDGE_SIZES) | st.integers(2, 300))
+    bases = np.array(draw(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=4)))
+    ulps = draw(st.sampled_from([0, 1, 3, n, 4 * n]))
+    specials = draw(st.lists(st.sampled_from([np.inf, np.nan, -np.nan]), max_size=3))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = bases.view(np.uint64)[g.integers(0, len(bases), n)]
+    dist = (bits + g.integers(0, ulps + 1, n).astype(np.uint64)).view(np.float64)
+    dist[g.integers(0, n, len(specials))] = specials
+    return dist
+
+
+def assert_stable_argsort(dist):
+    kept = dist.copy()
+    order = knn_module._stable_order(dist)
+    expected = np.argsort(kept, kind="stable")
+    assert order.dtype == expected.dtype and order.tobytes() == expected.tobytes()
+    assert dist.tobytes() == kept.tobytes()
+
+
+class TestPackedKeyOrder:
+    """The one-sort order is the stable argsort, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dist=distance_arrays())
+    def test_equals_the_stable_argsort(self, dist):
+        assert_stable_argsort(dist)
+
+    @pytest.mark.parametrize("n", EDGE_SIZES)
+    def test_index_bit_edges(self, n):
+        assert_stable_argsort(np.full(n, 2.5))
+        assert_stable_argsort(np.zeros(n))
+        # descending near-ties: every pair differs only in the index bits
+        near = np.float64(1.0).view(np.uint64) + np.arange(n, 0, -1, dtype=np.uint64)
+        assert_stable_argsort(near.view(np.float64))
+        assert_stable_argsort(np.nextafter(np.full(n, 7.0), np.where(np.arange(n) % 2, np.inf, 0.0)))
+        assert_stable_argsort(np.where(np.arange(n) % 2, np.inf, 1.0))
+        assert_stable_argsort(np.where(np.arange(n) % 3, -np.nan, np.nan))
+
+
+def permuted_rows(rng, n, d):
+    """Rows that each permute one draw of d coordinates: their distances to
+    the origin are equal up to the rounding of the sum."""
+    return rng.normal(size=d)[np.array([rng.permutation(d) for _ in range(n)])]
+
+
+def feature_order_distances(points, test_point, distance):
+    """The distances, summed over features one feature at a time."""
+    dist = np.zeros(points.shape[0])
+    for j in range(points.shape[1]):
+        delta = points[:, j] - test_point[j]
+        dist = dist + (delta * delta if distance == "euclidean" else np.abs(delta))
+    return dist
+
+
+def layouts(points):
+    """C-ordered, Fortran-ordered and strided copies of ``points``."""
+    big = np.zeros((2 * points.shape[0], points.shape[1]))
+    big[::2] = points
+    return [np.ascontiguousarray(points), np.asfortranarray(points), big[::2]]
+
+
+class TestDistanceDefinition:
+    """A distance is the feature-order sum, whatever the points' layout."""
+
+    @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
+    def test_layouts_give_identical_bytes(self, rng, distance):
+        points = permuted_rows(rng, 60, 9)
+        labels = rng.integers(0, 3, 60)
+        tests = np.vstack([np.zeros((2, 9)), rng.normal(size=(3, 9))])
+        test_labels = rng.integers(0, 3, 5)
+        masks = rng.integers(0, 1 << 60, 300)
+        results = []
+        for copy in layouts(points):
+            build = lambda: [KnnInstance(copy, labels, t, lab, 4, distance) for t, lab in zip(tests, test_labels)]
+            insts = build()
+            results.append(b"".join([
+                *(inst.order.tobytes() for inst in insts),
+                *(knn_shapley_exact(inst).values.tobytes() for inst in insts),
+                knn_shapley_testset(build()).values.tobytes(),
+                knn_game(build()).values_of_masks(masks).tobytes(),
+            ]))
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
+    def test_order_is_the_stable_argsort_of_the_feature_order_sum(self, rng, distance):
+        special = rng.normal(size=(50, 3))
+        special[[4, 20], 1] = np.nan
+        special[[7, 33], 2] = np.inf
+        cases = [
+            (permuted_rows(rng, 200, 9), np.zeros(9)),
+            (permuted_rows(rng, 100, 4), rng.normal(size=4)),
+            (rng.integers(-2, 3, size=(300, 3)).astype(float), np.zeros(3)),
+            (special, np.zeros(3)),
+            (np.zeros((5, 0)), np.zeros(0)),
+        ]
+        for points, test_point in cases:
+            expected = np.argsort(feature_order_distances(points, test_point, distance), kind="stable")
+            for copy in layouts(points):
+                inst = KnnInstance(copy, np.zeros(len(copy)), test_point, 0, 1, distance)
+                assert inst.order.tobytes() == expected.tobytes()
+
+    def test_knn_game_sorts_from_one_column_copy(self, rng, monkeypatch):
+        copies = []
+
+        class Counted(knn_module._Sweep):
+            def __init__(self, points):
+                copies.append(points)
+                super().__init__(points)
+
+        monkeypatch.setattr(knn_module, "_Sweep", Counted)
+        points, labels = rng.normal(size=(30, 3)), rng.integers(0, 2, 30)
+        shared = [KnnInstance(points, labels, t, 1, 3) for t in rng.normal(size=(6, 3))]
+        equal = [KnnInstance(points.copy(), labels, t, 1, 3) for t in rng.normal(size=(6, 3))]
+        game = knn_game(shared + equal)
+        assert len(copies) == 1
+        game.values_of_masks(np.arange(64, dtype=np.int64))
+        knn_shapley_testset(shared + equal)
+        assert len(copies) == 2
+        for inst in shared + equal:
+            fresh = KnnInstance(inst.points, labels, inst.test_point, 1, 3)
+            assert inst.order.tobytes() == fresh.order.tobytes()
+
+
 def grid_instances(rng, n, k, distance, n_test):
     """Instances on a small integer grid, where many distances tie."""
     points = rng.integers(0, 3, size=(n, 2)).astype(float)
@@ -423,7 +555,7 @@ class TestStreamedTestset:
 
     def test_mixed_metrics_and_copied_training_sets(self, rng):
         # rows permute one set of coordinates, so distances from the origin
-        # differ only by rounding, which depends on each copy's memory layout
+        # differ only by rounding, which must not depend on each copy's layout
         rows = np.array([rng.permutation(9) for _ in range(40)])
         points = np.asfortranarray(rng.normal(size=9)[rows])
         labels = rng.integers(0, 2, 40)

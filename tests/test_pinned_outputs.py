@@ -6,7 +6,8 @@ game), group testing (both recovery routes and the test potentials;
 the drawn tests and potentials also at N = 2, 3, 17 and 40), the
 baseline player's direct estimate, the utilities decoded from masks by
 ``games._membership`` (also across several row blocks), a full utility
-table and the values CSV of ``shapval knn`` are pinned, so a
+table and the values CSV of ``shapval knn`` (also on distances that
+differ only by rounding) are pinned, so a
 change to the shared sampling, mask, sort, loading or writing code that
 moves any of them, even in the last bit, fails here.  Recorded with
 numpy 2.4 on x86-64; a different BLAS may round the additive and KNN
@@ -232,6 +233,7 @@ def knn_values_csv(train, test, k, out):
     [
         ("continuous", "422c0e3c2932a0cab084e663d88e6cd5e5ca3292b8a51ca62887dd6eb4a8eb0f"),
         ("integer-ties", "ccdb6e230a42d25e9c307b7e1fe13c9830e9fc1e740cb48fbd017e1c0e8fd959"),
+        ("near-ties", "4b5eea0c1eb4966464c78a0fc8349e8f6f4e4f41ab2ac86dac3f8a92750a0ee9"),
     ],
 )
 def test_knn_cli_values_csv(tmp_path, capsys, kind, sha):
@@ -239,10 +241,16 @@ def test_knn_cli_values_csv(tmp_path, capsys, kind, sha):
     if kind == "continuous":
         x, xt = g.normal(size=(2000, 8)), g.normal(size=(40, 8))
         k = 5
-    else:
+    elif kind == "integer-ties":
         # few distinct points: duplicated rows and tied distances everywhere
         x, xt = g.integers(-2, 3, size=(600, 3)), g.integers(-2, 3, size=(40, 3))
         k = 7
+    else:
+        # each row permutes one draw of 9 coordinates, so the distances to the
+        # origin differ only by rounding: this pins the feature-order sum
+        x = g.normal(size=9)[np.array([g.permutation(9) for _ in range(60)])]
+        xt = np.zeros((6, 9))
+        k = 4
     y, yt = g.integers(0, 3, x.shape[0]), g.integers(0, 3, xt.shape[0])
     train, test = knn_dataset(tmp_path, x, y, xt, yt)
     raw = knn_values_csv(train, test, k, tmp_path / "values.csv")
