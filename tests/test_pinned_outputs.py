@@ -4,7 +4,8 @@ Permutation sampling (also on a tie-heavy KNN game, a 16-player random
 table and 1- and 2-player games), compressive sampling (also on a KNN
 game), group testing (both recovery routes and the test potentials;
 the drawn tests and potentials also at N = 2, 3, 17 and 40), the
-baseline player's direct estimate, the utilities decoded from masks by
+budgets both group-testing routes size, the baseline player's direct
+estimate, the utilities decoded from masks by
 ``games._membership`` (also across several row blocks), a full utility
 table and the values CSV of ``shapval knn`` (also on distances that
 differ only by rounding) are pinned, so a
@@ -40,6 +41,8 @@ from shapval.group_testing import (
     GroupTestPlan,
     _baseline_player_value,
     _draw_tests,
+    optimize_split_constants,
+    required_tests,
     run_tests,
 )
 from shapval.parallel import chunk_ranges
@@ -185,6 +188,23 @@ def test_group_testing_below_63_players(n, drawn_sha, potentials_sha):
     member = np.concatenate([_draw_tests(plan, 25, i, hi - lo) for i, (lo, hi) in enumerate(ranges)])
     assert hashlib.sha256(member.tobytes()).hexdigest() == drawn_sha
     assert digest(run_tests(game, 5_000, 25)) == potentials_sha
+
+
+def test_group_test_sizing():
+    # every budget both routes size, over N = 2..63, 100 and 1000; at
+    # delta <= 0.5 each baseline split has m1 >= 1 at every grid point
+    rows = []
+    for n in [*range(2, 64), 100, 1000]:
+        for eps in (0.01, 0.03, 0.1, 0.3, 1.0, 3.0):
+            for delta in (0.01, 0.1, 0.5):
+                for r in (0.5, 1.0, 4.0):
+                    split = optimize_split_constants(n, eps, delta, r)
+                    t = required_tests(n, eps, delta, r)
+                    rows.append((t, split.c_eps, split.c_delta, split.m1, split.m2))
+    assert rows[0] == (1477124, 2.0 ** 0.9, 2.0 ** 0.7, 307333, 290357)  # N = 2
+    assert rows[-1] == (22002615, 2.0 ** 0.3, 2.0 ** 0.7, 2457, 473)  # N = 1000
+    # budgets below 2^53 are exact in float64
+    assert digest(rows) == "e410aeaed5ef77eebe5be78bc85a310ddc43e38c26d8363b08adad1389476798"
 
 
 def test_decoded_utilities_across_blocks(games):
