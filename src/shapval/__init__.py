@@ -13,7 +13,6 @@ _EXPORTS = {
     "analytics": (
         "AdditivityReport",
         "LogisticModel",
-        "StabilityProfile",
         "additivity_violation",
         "fit_logistic",
         "influence_removal_logistic",
@@ -70,7 +69,6 @@ _EXPORTS = {
         "PermutationBudget",
         "estimate_permutation",
         "required_permutations",
-        "sample_permutation_marginals",
     ),
     "rng": (),
 }

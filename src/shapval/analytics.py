@@ -17,7 +17,6 @@ import numpy as np
 from .games import Game, ValueVector
 
 __all__ = [
-    "StabilityProfile",
     "LogisticModel",
     "uniform_division",
     "stability_value_gap_bound",
@@ -35,21 +34,6 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class StabilityProfile:
-    """Uniform-stability constant of a learner (user supplied)."""
-
-    c_stab: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.c_stab) or self.c_stab < 0:
-            raise ValueError("c_stab must be finite and nonnegative")
-
-    def value_gap_bound(self) -> float:
-        return stability_value_gap_bound(self.c_stab, self.n)
-
-
 def uniform_division(u_total: float, n_players: int) -> ValueVector:
     """Assign every player u_total / N."""
     if n_players < 1:
@@ -62,14 +46,13 @@ def uniform_division(u_total: float, n_players: int) -> ValueVector:
 def stability_value_gap_bound(c_stab: float, n_players: int) -> float:
     """Largest possible value gap for a uniformly stable learner.
 
-    2 * c_stab * (1 + ln(N-1)) / (N-1); vanishes as N grows, which is
-    what justifies uniform division for stable learners.
+    2 * c_stab * (1 + ln(N-1)) / (N-1), the lambda-stable bound at
+    lam = 2 c_stab; vanishes as N grows, which is what justifies uniform
+    division for stable learners.
     """
-    if n_players < 2:
-        raise ValueError("need at least two players")
-    if c_stab < 0:
-        raise ValueError("c_stab must be nonnegative")
-    return 2.0 * c_stab * (1.0 + math.log(n_players - 1)) / (n_players - 1)
+    if not 0 <= c_stab < math.inf:
+        raise ValueError("c_stab must be finite and nonnegative")
+    return lambda_stable_gap_bound(2.0 * c_stab, n_players)
 
 
 def lambda_stable_gap_bound(lam: float, n_players: int) -> float:

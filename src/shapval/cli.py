@@ -304,17 +304,16 @@ def _estimator_values(config: ExperimentConfig, game: Game) -> ValueVector:
 
         if config.epsilon is None or config.delta is None:
             raise ConfigError("group-test needs --epsilon and --delta")
-        with _refusal_is_config_error():  # the plan refuses fewer than two players
-            group_testing.GroupTestPlan(game.n_players)
-        return group_testing.estimate_group_testing(
-            game,
-            config.epsilon,
-            config.delta,
-            config.seed,
-            recovery=config.recovery,
-            t_tests=config.tests,
-            threads=config.threads,
-        )
+        with _refusal_is_config_error():  # one player; the config checked the rest
+            return group_testing.estimate_group_testing(
+                game,
+                config.epsilon,
+                config.delta,
+                config.seed,
+                recovery=config.recovery,
+                t_tests=config.tests,
+                threads=config.threads,
+            )
     if method == "compressive":
         from . import compressive
 

@@ -125,11 +125,17 @@ class Game:
             )
         if not math.isfinite(range_r) or range_r <= 0:
             raise ValueError("range_r must be a positive finite bound")
+        if exact_values is not None:
+            exact_values = np.asarray(exact_values, dtype=np.float64)
+            if exact_values.shape != (n_players,):
+                raise ValueError(
+                    f"exact_values must have shape ({n_players},), got {exact_values.shape}"
+                )
         self.n_players = int(n_players)
         self.range_r = float(range_r)
         self.monotone = bool(monotone)
         self.name = name
-        self.exact_values = None if exact_values is None else np.asarray(exact_values, float)
+        self.exact_values = exact_values
         self._utility = utility
         self._prefix_utility = prefix_utility
         self._lock = threading.Lock()
@@ -176,9 +182,6 @@ class Game:
             )
         with self._lock:
             self._eval_count += vals.size
-
-    def value_of_mask(self, mask: int) -> float:
-        return float(self.values_of_masks(np.array([mask], dtype=np.int64))[0])
 
     def values_of_masks(self, masks: np.ndarray) -> np.ndarray:
         """Utilities for a one-dimensional array of subset bit masks in [0, 2^N).
@@ -260,12 +263,6 @@ def _inverse_binomial(n: int, k: int) -> float:
     return math.exp(math.lgamma(k + 1) + math.lgamma(n - k + 1) - math.lgamma(n + 1))
 
 
-def utility_table(game: Game) -> np.ndarray:
-    """All 2^N utilities indexed by subset mask (mask 0 is free)."""
-    masks = np.arange(1 << game.n_players, dtype=np.int64)
-    return game.values_of_masks(masks)
-
-
 def exact_shapley_subsets(game: Game, *, max_players: int = DEFAULT_SUBSET_GUARD) -> ValueVector:
     """Exact Shapley values by enumerating all player subsets.
 
@@ -297,7 +294,7 @@ def exact_shapley_permutations(
     """
     n = game.n_players
     _check_guard(n, max_players, "permutation enumeration")
-    table = utility_table(game)
+    table = game.values_of_masks(np.arange(1 << n, dtype=np.int64))
     totals = np.zeros(n, dtype=np.float64)
     perm_iter = itertools.permutations(range(n))
     while True:

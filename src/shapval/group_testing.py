@@ -57,7 +57,10 @@ class GroupTestPlan:
     contributes nothing to their difference estimate).  Only
     q(k) = (1/Z)(1/k + 1/(N-k)) makes Z * u * (beta_i - beta_j) unbiased
     and sizes the test counts, so the three are computed here from N and
-    no caller sets them; two plans for the same N compare equal.
+    no caller sets them; two plans for the same N compare equal.  A
+    size-k test splits a fixed pair with probability 2k(N-k)/(N(N-1)),
+    and q(k) times that is 2/(Z(N-1)) for each of the N-1 sizes, so
+    q_tot = 1 - 2/Z exactly (Jia et al. 2019, arXiv 1902.10275).
     """
 
     n_players: int
@@ -71,15 +74,9 @@ class GroupTestPlan:
             raise ValueError("group testing needs at least two players")
         ks = np.arange(1, n)
         z = 2.0 * math.fsum((1.0 / ks).tolist())
-        q = (1.0 / z) * (1.0 / ks + 1.0 / (n - ks))
-        # probability that a fixed pair is activated identically, summed over sizes
-        terms = np.empty(n - 1)
-        terms[0] = ((n - 2) / n) * q[0]
-        k = ks[1:]
-        terms[1:] = q[1:] * (1.0 + (2.0 * k * (k - n)) / (n * (n - 1)))
         object.__setattr__(self, "z_norm", z)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "q_tot", math.fsum(terms.tolist()))
+        object.__setattr__(self, "q", (1.0 / z) * (1.0 / ks + 1.0 / (n - ks)))
+        object.__setattr__(self, "q_tot", 1.0 - 2.0 / z)
 
     @cached_property
     def _size_table(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -255,7 +252,9 @@ def recover_feasibility(delta_u: np.ndarray, u_total: float, epsilon: float) -> 
 def _baseline_budgets(
     plan: GroupTestPlan, epsilon: float, delta: float, range_r: float, c_eps, c_delta
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(m1, m2) budgets for given split constants (arrays broadcast)."""
+    """(m1, m2) budgets for given split constants (arrays broadcast), each
+    at least 1, as in ``required_tests``: where c_delta (N-1) < 2 delta, as
+    at N = 2 with delta above ~0.54, the logarithm in m1 is negative."""
     n = plan.n_players
     c_eps = np.asarray(c_eps, dtype=np.float64)
     c_delta = np.asarray(c_delta, dtype=np.float64)
@@ -266,7 +265,7 @@ def _baseline_budgets(
         (4.0 * range_r**2 * c_eps**2 / ((c_eps - 1.0) ** 2 * epsilon**2))
         * np.log(2.0 * c_delta / ((c_delta - 1.0) * delta))
     )
-    return m1, m2
+    return np.maximum(m1, 1.0), np.maximum(m2, 1.0)
 
 
 def optimize_split_constants(

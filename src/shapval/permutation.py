@@ -29,7 +29,6 @@ __all__ = [
     "estimate_permutation",
     "marginal_chunk",
     "sample_orderings",
-    "sample_permutation_marginals",
 ]
 
 # Orderings drawn from one random stream.  Streams are keyed on the chunk
@@ -137,18 +136,6 @@ def _marginal_totals(game: Game, seed: int, tag: str, chunk_index: int, count: i
     if game.n_players == 1:  # the orderings are all [0], so this is the block
         return marginals.sum(axis=0)
     return np.bincount(perms.ravel(), weights=marginals.ravel(), minlength=game.n_players)
-
-
-def sample_permutation_marginals(
-    game: Game, t_permutations: int, seed: int, *, tag: str = "perm"
-) -> np.ndarray:
-    """Materialized (T, N) matrix of per-ordering marginal contributions."""
-    check_count("t_permutations", t_permutations)
-    parts = [
-        marginal_chunk(game, seed, tag, i, hi - lo)
-        for i, (lo, hi) in enumerate(chunk_ranges(t_permutations, ORDERING_CHUNK))
-    ]
-    return np.concatenate(parts, axis=0)
 
 
 def estimate_permutation(

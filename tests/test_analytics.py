@@ -20,7 +20,7 @@ from shapval import (
     stability_value_gap_bound,
     uniform_division,
 )
-from shapval.analytics import StabilityProfile, logistic_loss
+from shapval.analytics import logistic_loss
 
 
 def lambda_stable_game(n, seed, base=1.0):
@@ -91,15 +91,19 @@ class TestGapBounds:
                 lambda_stable_gap_bound(1.4, n), abs=1e-15
             )
 
+    @pytest.mark.parametrize("c_stab", [-1.0, math.inf, math.nan])
+    def test_constant_must_be_finite_and_nonnegative(self, c_stab):
+        with pytest.raises(ValueError, match="c_stab must be finite and nonnegative"):
+            stability_value_gap_bound(c_stab, 11)
+
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             stability_value_gap_bound(1.0, 1)
         with pytest.raises(ValueError):
             lambda_stable_gap_bound(1.0, 1)
 
-    def test_profile_wrapper(self):
-        prof = StabilityProfile(c_stab=2.0, n=11)
-        assert prof.value_gap_bound() == pytest.approx(2 * 0.6605170185988092, abs=1e-12)
+    def test_stability_bound_at_c_two(self):
+        assert stability_value_gap_bound(2.0, 11) == pytest.approx(2 * 0.6605170185988092, abs=1e-12)
 
     def test_lambda_stable_game_construction_and_bound(self):
         for seed in (0, 1, 2):
@@ -112,9 +116,8 @@ class TestGapBounds:
                 pick = g.random(6) < 0.5
                 mask = sum(1 << p for p, take in zip(others, pick) if take)
                 size = bin(mask).count("1")
-                gap = abs(
-                    game.value_of_mask(mask | 1 << i) - game.value_of_mask(mask | 1 << j)
-                )
+                with_i, with_j = game.values_of_masks([mask | 1 << i, mask | 1 << j])
+                gap = abs(with_i - with_j)
                 assert gap <= lam / (size + 1) + 1e-12
             values = exact_shapley_subsets(game).values
             spread = float(values.max() - values.min())

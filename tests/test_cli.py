@@ -215,6 +215,11 @@ class TestMainExitCodes:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == out.read_text()
 
+    def test_baseline_route_at_two_players_and_a_large_delta(self, capsys):
+        argv = ["group-test", "--game", "additive", "--weights", "0.5,0.5", "--epsilon", "0.3"]
+        assert main([*argv, "--delta", "0.9", "--recovery", "baseline"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("player,value\n")
+
     def test_unknown_method_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("method = banzhaf\n")

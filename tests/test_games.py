@@ -41,13 +41,13 @@ class TestValueVector:
 class TestGame:
     def test_empty_coalition_is_free_and_zero(self):
         g = make_additive_game((1.0, 2.0))
-        assert g.value_of_mask(0) == 0.0
+        assert g.values_of_masks([0])[0] == 0.0
         assert g.eval_count == 0
 
     def test_offset_enforces_empty_zero(self):
         g = Game(2, lambda m: 5.0 + sizes(m), range_r=2.0)
-        assert g.value_of_mask(0) == 0.0
-        assert g.value_of_mask(0b11) == 2.0
+        assert g.values_of_masks([0])[0] == 0.0
+        assert g.values_of_masks([0b11])[0] == 2.0
 
     def test_out_of_range_utility_raises(self):
         # caught immediately when the full coalition already breaks the bound
@@ -56,7 +56,7 @@ class TestGame:
         # caught on evaluation when only an interior coalition breaks it
         sneaky = Game(2, lambda m: np.where(sizes(m) == 1, 5.0, sizes(m) / 2.0), range_r=1.0)
         with pytest.raises(UtilityRangeError):
-            sneaky.value_of_mask(0b01)
+            sneaky.values_of_masks([0b01])
 
     def test_nan_utility_is_out_of_range(self):
         with pytest.raises(UtilityRangeError):
@@ -91,6 +91,12 @@ class TestGame:
         g = make_additive_game((1.0, 1.0, 1.0))
         g.values_of_masks(np.array([0, 1, 3, 7]))
         assert g.eval_count == 3
+
+    @pytest.mark.parametrize("exact", [np.zeros(7), np.zeros((1, 3)), np.zeros(2), 0.5])
+    def test_exact_values_must_be_one_per_player(self, exact):
+        with pytest.raises(ValueError, match="exact_values must have shape"):
+            Game(3, sizes, range_r=3.0, exact_values=exact)
+        assert Game(3, sizes, range_r=3.0, exact_values=[1, 1, 1]).exact_values.dtype == np.float64
 
     def test_u_total_cached_at_construction(self):
         g = make_glove_game()

@@ -93,7 +93,8 @@ class TestPlan:
 
     @pytest.mark.parametrize("n", [2, 3, 17, 63, 1000])
     def test_fields_are_the_scalar_formulas(self, n):
-        # Z = 2 sum_k 1/k; q_tot = sum_k q(k) P(size-k test treats a pair alike)
+        # Z = 2 sum_k 1/k; q_tot = 1 - 2/Z, the closed form of
+        # sum_k q(k) P(size-k test treats a pair alike)
         z = 2.0 * math.fsum(1.0 / k for k in range(1, n))
         q = [(1.0 / z) * (1.0 / k + 1.0 / (n - k)) for k in range(1, n)]
         q_tot = math.fsum(
@@ -103,7 +104,8 @@ class TestPlan:
         plan = GroupTestPlan(n)
         assert plan.z_norm == z
         assert plan.q.tolist() == q
-        assert plan.q_tot == q_tot
+        assert plan.q_tot == 1.0 - 2.0 / z
+        assert abs(plan.q_tot - q_tot) <= 1e-15 * q_tot
 
     def test_rejects_single_player(self):
         with pytest.raises(ValueError):
@@ -412,6 +414,14 @@ class TestSplitConstants:
         refined = float((m1 + m2).min())
         total = split.m1 + split.m2
         assert abs(total - refined) <= 0.02 * refined
+
+    def test_two_players_at_a_large_delta(self):
+        # c_delta / (2 delta) < 1 on part of the grid, where m1's logarithm is negative
+        split = optimize_split_constants(2, 0.3, 0.9, 1.0)
+        assert split.m1 == 1 and split.m2 >= 1
+        vv = estimate_group_testing(make_additive_game([0.5, 0.5]), 0.3, 0.9, 0, "baseline")
+        orderings = math.ceil(split.m2 / 2)  # one or two evaluations each
+        assert 1 + orderings <= vv.eval_count <= 1 + 2 * orderings
 
     def test_deterministic(self):
         a = optimize_split_constants(7, 0.2, 0.1, 1.0)

@@ -41,25 +41,25 @@ def random_instance(rng, n, k):
 class TestUtility:
     def test_single_nearest_correct(self):
         inst = line_instance(["pos", "neg", "neg"], k=1)
-        assert knn_game(inst).value_of_mask(0b001) == 1.0
+        assert knn_game(inst).values_of_masks([0b001])[0] == 1.0
 
     def test_two_nearest_split(self):
         inst = line_instance(["pos", "neg", "neg"], k=2)
-        assert knn_game(inst).value_of_mask(0b011) == 0.5
+        assert knn_game(inst).values_of_masks([0b011])[0] == 0.5
 
     def test_small_coalition_truncates_at_its_size(self):
         inst = line_instance(["pos", "neg", "neg"], k=2)
         # a single correct member fills only one of the two neighbor slots
-        assert knn_game(inst).value_of_mask(0b001) == 0.5
+        assert knn_game(inst).values_of_masks([0b001])[0] == 0.5
 
     def test_empty_is_zero(self):
         inst = line_instance(["pos", "neg"], k=1)
-        assert knn_game(inst).value_of_mask(0) == 0.0
+        assert knn_game(inst).values_of_masks([0])[0] == 0.0
 
     def test_only_nearest_k_members_count(self):
         inst = line_instance(["neg", "pos", "pos"], k=1)
         # the wrong-label point 0 masks the correct points behind it
-        assert knn_game(inst).value_of_mask(0b111) == 0.0
+        assert knn_game(inst).values_of_masks([0b111])[0] == 0.0
 
 
 class TestRecursion:

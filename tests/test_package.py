@@ -36,6 +36,15 @@ def test_star_import_binds_the_public_names():
     }
 
 
+@pytest.mark.parametrize("module", sorted(shapval._SUBMODULES))
+def test_submodule_star_import_binds_its_exports(module):
+    namespace: dict = {}
+    exec(f"from shapval.{module} import *", namespace)  # a stale __all__ name raises here
+    exported = getattr(sys.modules[f"shapval.{module}"], "__all__", ())
+    assert set(exported) <= set(namespace)
+    assert set(shapval._EXPORTS.get(module, ())) <= set(namespace)
+
+
 def test_dir_lists_the_public_names():
     assert set(shapval.__all__) <= set(dir(shapval))
     assert "__version__" in dir(shapval)

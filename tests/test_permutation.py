@@ -25,11 +25,16 @@ from shapval import (
     make_glove_game,
     make_random_game,
     required_permutations,
-    sample_permutation_marginals,
 )
 from shapval.errors import ConfigError
 from shapval.parallel import chunk_ranges, ordered_chunk_map, resolve_threads
 from shapval.permutation import ORDERING_CHUNK, marginal_chunk, sample_orderings
+
+
+def sampled_marginals(game, t, seed):
+    """(T, N) marginals of the orderings ``estimate_permutation`` draws."""
+    chunks = enumerate(chunk_ranges(t, ORDERING_CHUNK))
+    return np.concatenate([marginal_chunk(game, seed, "perm", i, hi - lo) for i, (lo, hi) in chunks])
 
 
 class TestRequiredPermutations:
@@ -130,7 +135,7 @@ class TestEstimate:
 class TestSamplingProperties:
     def test_telescoping_within_each_permutation(self):
         g = make_random_game(6, seed=11)
-        phi = sample_permutation_marginals(g, 64, seed=5)
+        phi = sampled_marginals(g, 64, seed=5)
         assert_allclose(phi.sum(axis=1), np.full(64, g.u_total), atol=1e-12)
 
     def test_estimate_sums_to_total_utility(self):
@@ -266,16 +271,6 @@ class TestChunkTotals:
         assert np.any(np.signbit(phi) & (phi == 0.0))
 
 
-class TestSampleMarginalsInput:
-    @pytest.mark.parametrize("count", [0, -1, 2.5, 3.0, True, "4"])
-    def test_count_must_be_a_positive_integer(self, count):
-        with pytest.raises(ValueError, match="t_permutations"):
-            sample_permutation_marginals(make_glove_game(), count, seed=1)
-
-    def test_numpy_integer_count(self):
-        assert sample_permutation_marginals(make_glove_game(), np.int64(3), seed=1).shape == (3, 3)
-
-
 class TestEvalCounts:
     """Each estimator reports the evaluations it billed, not the change of
     the game's shared counter, so concurrent callers do not see each other's."""
@@ -350,6 +345,6 @@ class TestOrderingSampler:
     def test_marginals_mean_matches_estimator(self):
         g = make_random_game(6, seed=31)
         t = 2 * ORDERING_CHUNK + 188  # three chunks, the last one partial
-        phi = sample_permutation_marginals(g, t, seed=12, tag="perm")
+        phi = sampled_marginals(g, t, seed=12)
         vv = estimate_permutation(g, PermutationBudget(t), seed=12)
         assert_allclose(phi.mean(axis=0), vv.values, rtol=0, atol=1e-12)

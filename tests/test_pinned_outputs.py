@@ -35,7 +35,6 @@ from shapval import (
     make_voting_game,
 )
 from shapval.cli import EXIT_OK, main
-from shapval.games import utility_table
 from shapval.group_testing import (
     _TEST_CHUNK,
     GroupTestPlan,
@@ -225,7 +224,8 @@ def test_decoded_utilities_across_blocks(games):
 
 
 def test_utility_table():
-    table = utility_table(make_additive_game(np.random.default_rng(24).uniform(0.0, 1.0, 16)))
+    game = make_additive_game(np.random.default_rng(24).uniform(0.0, 1.0, 16))
+    table = game.values_of_masks(np.arange(1 << 16, dtype=np.int64))
     assert digest(table) == "bf6c8d26d4bc0f58d3f546bbcf528777a8fe775899fec1f1e25274dccdbbcb2f"
 
 
