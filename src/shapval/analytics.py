@@ -52,7 +52,8 @@ def stability_value_gap_bound(c_stab: float, n_players: int) -> float:
     """
     if not 0 <= c_stab < math.inf:
         raise ValueError("c_stab must be finite and nonnegative")
-    return lambda_stable_gap_bound(2.0 * c_stab, n_players)
+    # doubling is exact, so this is the bound at lam = 2 c_stab bit for bit
+    return 2.0 * lambda_stable_gap_bound(c_stab, n_players)
 
 
 def lambda_stable_gap_bound(lam: float, n_players: int) -> float:
@@ -63,8 +64,8 @@ def lambda_stable_gap_bound(lam: float, n_players: int) -> float:
     """
     if n_players < 2:
         raise ValueError("need at least two players")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError("lam must be finite and nonnegative")
     return lam * (1.0 + math.log(n_players - 1)) / (n_players - 1)
 
 

@@ -103,6 +103,9 @@ class Game:
     (``_in_blocks``), so a whole-table batch from an exact oracle holds
     one block's temporaries, not a (2^N, N) array.  The split changes
     no value; see ``make_additive_game``.
+
+    ``exact_values``, when known, are the Shapley values, one per player;
+    the game keeps a read-only float64 copy.
     """
 
     def __init__(
@@ -126,11 +129,12 @@ class Game:
         if not math.isfinite(range_r) or range_r <= 0:
             raise ValueError("range_r must be a positive finite bound")
         if exact_values is not None:
-            exact_values = np.asarray(exact_values, dtype=np.float64)
+            exact_values = np.array(exact_values, dtype=np.float64)
             if exact_values.shape != (n_players,):
                 raise ValueError(
                     f"exact_values must have shape ({n_players},), got {exact_values.shape}"
                 )
+            exact_values.flags.writeable = False
         self.n_players = int(n_players)
         self.range_r = float(range_r)
         self.monotone = bool(monotone)
@@ -399,7 +403,7 @@ def _masks(member: np.ndarray) -> np.ndarray:
 
 def _weight_vector(weights: Sequence[float]) -> tuple[np.ndarray, float]:
     """Weights as a float64 vector and their total, both finite."""
-    w = np.asarray(weights, dtype=np.float64)
+    w = np.array(weights, dtype=np.float64)  # a copy: the game outlives the caller's array
     if w.ndim != 1 or w.size < 1:
         raise ValueError("weights must be a nonempty vector")
     with np.errstate(all="ignore"):  # a NaN, infinity or overflow makes it nonfinite
@@ -427,7 +431,7 @@ def make_additive_game(weights: Sequence[float]) -> Game:
         lambda masks: _weight_sums(masks, w),
         range_r=total,
         monotone=True,
-        exact_values=w.copy(),
+        exact_values=w,
         name="additive",
     )
 

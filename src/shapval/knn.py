@@ -15,8 +15,12 @@ It counts from A_j until the K-th smallest arrival among the points
 closer than it; that running K-th smallest takes K passes of a running
 minimum over the distance axis.  A difference array over the arrival
 and exit times of the matching points, summed over time, gives every
-prefix's hit count.  Group tests and the exact oracles still score
-coalitions as masks, the one form every game has.
+prefix's hit count.  Its arrival events are a gather of each ordering's
+players' label matches; its exit events are written by assignment,
+since within one test point and ordering no two points leave at the
+same time before the end (``_prefix_hits`` has the proof).  Group
+tests and the exact oracles still score coalitions as masks, the one
+form every game has.
 
 The sort orders training points by distance to the test point, ties by
 ascending index.  A distance is the sum over features in feature order,
@@ -71,7 +75,7 @@ _METRICS = ("euclidean", "manhattan")
 # split never changes a value.
 _BLOCK_ROWS = 512
 # Arrival times (training points x orderings x test points) per prefix block:
-# its intp temporaries stay about 1 MB each.
+# its largest temporary, the int32 exit indices, stays about 0.5 MB.
 _BLOCK_CELLS = 1 << 17
 # Distinct test labels whose label-match rows knn_shapley_testset keeps.
 _LABEL_ROWS = 64
@@ -207,14 +211,31 @@ def _running_min(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _prefix_hits(arrive: np.ndarray, miss: np.ndarray, k: int) -> np.ndarray:
-    """(N, B, R) hit counts of every prefix, from (N, B, R) arrival times.
+def _prefix_hits(
+    perms: np.ndarray, arrive: np.ndarray, miss: np.ndarray, gains: np.ndarray, k: int
+) -> np.ndarray:
+    """(N, B, R) hit counts of every prefix of the (R, N) orderings ``perms``.
 
     ``arrive[j, b, r]`` is the 0-based position in ordering r of test point
-    b's j-th nearest training point, ``miss`` (N, B) marks its label
-    misses.  Point j is among the K nearest arrived points from its arrival
-    until the K-th smallest arrival among points 0..j-1.  That time is the
-    sentinel N, past every prefix, while fewer than K of them have arrived.
+    b's j-th nearest training point and ``miss`` (N, B) marks its label
+    misses; ``gains[b, i]`` holds the same matches by player, 1 where
+    training point i matches test point b's label, else 0.  Point j is
+    among the K nearest arrived points from its arrival until the K-th
+    smallest arrival among points 0..j-1.  That time is the sentinel N,
+    past every prefix, while fewer than K of them have arrived.
+
+    In each cell (one test point and one ordering) a hit count rises at a
+    matching arrival, gathered from ``gains`` by player, and falls at a
+    matching point's exit, written by assignment into an int8 array; the
+    sum along time is taken in the smallest signed type that holds K.
+    Assignment loses no exit, because no two points of a cell exit at the
+    same time below N.  An exit below N happens at the arrival of some
+    point p, and each arrival is the exit of at most one point:
+    - p never counts (K points closer than p have arrived): it exits as it
+      arrives and pushes nobody out, since any point farther than p
+      already had those K closer points;
+    - p counts: it stays past its arrival and pushes out at most one
+      point, the current K-th nearest.
     """
     n = arrive.shape[0]
     # after pass p, kth[j] is the p-th smallest arrival among points 0..j:
@@ -226,16 +247,22 @@ def _prefix_hits(arrive: np.ndarray, miss: np.ndarray, k: int) -> np.ndarray:
         closer[1:] = kth[:-1]
         _running_min(np.maximum(closer, arrive, out=kth))
     closer[1:] = kth[:-1]
-    # a point whose K-th closer arrival precedes its own never counts
+    # a point whose K-th closer arrival precedes its own leaves as it arrives
     leave = np.maximum(closer, arrive, out=closer)
-    np.copyto(arrive, n, where=miss[:, :, None])
     np.copyto(leave, n, where=miss[:, :, None])
     cells = arrive[0].size
-    slot = np.arange(cells).reshape(arrive.shape[1:])
     times = (n + 1) * cells
-    events = np.bincount((arrive.astype(np.intp) * cells + slot).ravel(), minlength=times)
-    events -= np.bincount((leave.astype(np.intp) * cells + slot).ravel(), minlength=times)
-    return np.cumsum(events[: n * cells].reshape(arrive.shape), axis=0)
+    index = np.int32 if times < 1 << 31 else np.int64
+    flat = leave.astype(index)
+    flat *= cells
+    flat += np.arange(cells, dtype=index).reshape(arrive.shape[1:])
+    gone = np.zeros(times, dtype=np.int8)
+    gone[flat.ravel()] = 1
+    events = gone[: n * cells].reshape(arrive.shape)
+    # gained[t, b, r]: the label match of the point at position t of ordering r
+    gained = gains[:, perms.T].transpose(1, 0, 2)
+    np.subtract(gained, events, out=events)
+    return np.cumsum(events, axis=0, dtype=np.min_scalar_type(-k))
 
 
 def knn_game(instances: KnnInstance | Sequence[KnnInstance]) -> Game:
@@ -269,6 +296,9 @@ def knn_game(instances: KnnInstance | Sequence[KnnInstance]) -> Game:
 
     orders = np.stack([inst.order for inst in seq], axis=1)  # (N, T)
     misses = np.stack([inst.matches == 0 for inst in seq], axis=1)
+    # gains[b, i]: 1 where training point i matches test point b's label
+    gains = np.empty((len(seq), n), dtype=np.int8)
+    np.put_along_axis(gains, orders.T, ~misses.T, axis=1)
     positions = np.arange(n, dtype=np.min_scalar_type(n))[:, None]  # holds N too
 
     def prefixes(perms: np.ndarray) -> np.ndarray:
@@ -279,7 +309,8 @@ def knn_game(instances: KnnInstance | Sequence[KnnInstance]) -> Game:
         out = np.zeros((n, rows), dtype=np.float64)
         step = max(1, _BLOCK_CELLS // (n * rows))
         for lo in range(0, len(seq), step):
-            hits = _prefix_hits(arrival[orders[:, lo : lo + step]], misses[:, lo : lo + step], k)
+            block = slice(lo, lo + step)
+            hits = _prefix_hits(perms, arrival[orders[:, block]], misses[:, block], gains[block], k)
             frac = hits / k
             for b in range(frac.shape[1]):
                 out += frac[:, b]

@@ -87,14 +87,19 @@ class TestGapBounds:
 
     def test_bounds_are_the_same_formula_up_to_factor_two(self):
         for n in (2, 5, 40):
-            assert stability_value_gap_bound(0.7, n) == pytest.approx(
-                lambda_stable_gap_bound(1.4, n), abs=1e-15
-            )
+            assert stability_value_gap_bound(0.7, n) == lambda_stable_gap_bound(1.4, n)
+        # a finite constant whose double overflows gives an infinite bound, not a refusal
+        assert stability_value_gap_bound(1e308, 5) == math.inf
 
     @pytest.mark.parametrize("c_stab", [-1.0, math.inf, math.nan])
     def test_constant_must_be_finite_and_nonnegative(self, c_stab):
         with pytest.raises(ValueError, match="c_stab must be finite and nonnegative"):
             stability_value_gap_bound(c_stab, 11)
+
+    @pytest.mark.parametrize("lam", [-1.0, math.inf, -math.inf, math.nan])
+    def test_lam_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+            lambda_stable_gap_bound(lam, 11)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):

@@ -98,6 +98,24 @@ class TestGame:
             Game(3, sizes, range_r=3.0, exact_values=exact)
         assert Game(3, sizes, range_r=3.0, exact_values=[1, 1, 1]).exact_values.dtype == np.float64
 
+    def test_exact_values_are_a_read_only_copy(self):
+        given = np.array([1.0, 2.0])
+        g = make_additive_game(given)
+        for game in (g, Game(2, sizes, range_r=2.0, exact_values=given)):
+            with pytest.raises(ValueError, match="read-only"):
+                game.exact_values[0] = 9
+            assert not np.shares_memory(game.exact_values, given)
+        given[0] = 5.0
+        assert g.exact_values.tolist() == [1.0, 2.0]
+        assert exact_shapley_subsets(g).values.tolist() == [1.0, 2.0]
+
+    def test_weighted_games_keep_their_own_weights(self):
+        weights = np.array([1.0, 2.0, 3.0])
+        additive, voting = make_additive_game(weights), make_voting_game(weights, 3.0)
+        weights[:] = [9.0, 0.0, 0.0]
+        assert additive.values_of_masks([1, 7]).tolist() == [1.0, 6.0]
+        assert voting.values_of_masks([1, 3, 4]).tolist() == [0.0, 1.0, 1.0]
+
     def test_u_total_cached_at_construction(self):
         g = make_glove_game()
         assert g.u_total == 1.0

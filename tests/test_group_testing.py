@@ -87,9 +87,14 @@ class TestPlan:
             assert 0.0 <= plan.q_tot < 1.0
 
     def test_qtot_equals_one_minus_two_over_z(self):
+        # against the term sum sum_k q(k) P(size-k test treats a pair alike)
         for n in range(2, 1001):
-            plan = GroupTestPlan(n)
-            assert plan.q_tot == pytest.approx(1.0 - 2.0 / plan.z_norm, abs=1e-10)
+            k = np.arange(1.0, n)
+            z = 2.0 * math.fsum((1.0 / k).tolist())
+            q = (1.0 / z) * (1.0 / k + 1.0 / (n - k))
+            alike = 1.0 + (2.0 * k * (k - n)) / (n * (n - 1))
+            term_sum = math.fsum((q * alike).tolist())
+            assert abs(GroupTestPlan(n).q_tot - term_sum) <= 1e-15 * term_sum
 
     @pytest.mark.parametrize("n", [2, 3, 17, 63, 1000])
     def test_fields_are_the_scalar_formulas(self, n):

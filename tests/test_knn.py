@@ -416,6 +416,60 @@ def prefix_case(n, k, n_test, labels):
 PREFIX_N_K = [(n, k) for n in (2, 3, 16, 40, 63) for k in sorted({1, 2, n // 2, n - 1}) if k < n]
 
 
+def brute_prefix_hits(perms, orders, gains, k):
+    """Hit counts and exit times of every prefix, by counting.
+
+    ``perms`` (R, N) are orderings, ``orders`` (N, B) each test point's
+    training points by distance and ``gains`` (B, N) the label matches by
+    player.  Returns hits (N, B, R): the matching points among the K
+    nearest of positions 0..t, and exits (N, B, R): the first position at
+    which test point b's j-th nearest point has arrived but is not among
+    the K nearest, N if there is none.
+    """
+    n = perms.shape[1]
+    position = np.argsort(perms, axis=1)  # position[r, i]: when player i arrives
+    arrive = position.T[orders]  # (N, B, R) by distance rank
+    times = np.arange(n)[:, None, None, None]
+    present = arrive[None] <= times  # (time, rank, B, R)
+    counted = present & (np.cumsum(present, axis=1) <= k)
+    match = np.take_along_axis(gains.T, orders, axis=0).astype(bool)  # (N, B) by rank
+    hits = np.count_nonzero(counted & match[None, :, :, None], axis=1)
+    pushed = present & ~counted
+    exits = np.where(pushed.any(axis=0), pushed.argmax(axis=0), n)
+    return hits, exits
+
+
+PREFIX_HIT_N_K = [
+    (n, k) for n in (2, 3, 40, 254, 255, 256, 300) for k in sorted({1, 2, n // 2, n - 1}) if k < n
+]
+
+
+class TestPrefixHits:
+    """``_prefix_hits`` against counting, beyond 63 players and across the uint8 arrival type."""
+
+    @pytest.mark.parametrize("n, k", PREFIX_HIT_N_K)
+    def test_counts_match_brute_force(self, n, k):
+        g = np.random.default_rng([n, k])
+        n_test, rows = 3, 4
+        perms = np.argsort(g.random((rows, n)), axis=1)
+        orders = np.argsort(g.random((n, n_test)), axis=0)
+        gains = (g.random((n_test, n)) < 0.6).astype(np.int8)
+        # the inputs as knn_game's prefix form builds them
+        positions = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
+        arrival = np.empty((n, rows), dtype=positions.dtype)
+        np.put_along_axis(arrival, perms.T, positions, axis=0)
+        miss = np.take_along_axis(gains.T, orders, axis=0) == 0
+        hits = knn_module._prefix_hits(perms, arrival[orders], miss, gains, k)
+        expected, exits = brute_prefix_hits(perms, orders, gains, k)
+        assert hits.shape == (n, n_test, rows)
+        assert np.array_equal(hits, expected)
+        # the exits are written by assignment: in each cell those before N are distinct
+        for b in range(n_test):
+            for r in range(rows):
+                early = exits[:, b, r][exits[:, b, r] < n]
+                assert np.unique(early).size == early.size
+
+
 class TestPrefixForm:
     """Prefix utilities of orderings against the mask form on the same prefixes."""
 
@@ -443,6 +497,15 @@ class TestPrefixForm:
             ordered_chunk_map(chunk, chunk_ranges(70, 25), threads)
             assert sorted(checked) == [0, 1, 2]
 
+
+    def test_two_test_point_blocks_match_masks_bytewise(self):
+        # 40 players and 256 orderings give blocks of 12 test points: 12 then 8
+        game = knn_game(prefix_case(40, 5, 20, "int"))
+        assert knn_module._BLOCK_CELLS // (40 * 256) == 12
+        perms = sample_orderings(9, "perm", 0, 256, 40)
+        masks = np.cumsum(1 << perms, axis=1)
+        expected = game.values_of_masks(masks.ravel()).reshape(masks.shape)
+        assert game._values_of_orderings(perms).tobytes() == expected.tobytes()
 
     def test_empty_chunk(self):
         game = knn_game(prefix_case(40, 5, 3, "int"))
