@@ -52,7 +52,8 @@ def stability_value_gap_bound(c_stab: float, n_players: int) -> float:
     """
     if not 0 <= c_stab < math.inf:
         raise ValueError("c_stab must be finite and nonnegative")
-    # doubling is exact, so this is the bound at lam = 2 c_stab bit for bit
+    # doubling commutes with rounding, so this is the bound at lam = 2 c_stab
+    # bit for bit unless a step of it is subnormal
     return 2.0 * lambda_stable_gap_bound(c_stab, n_players)
 
 

@@ -227,7 +227,7 @@ def _prefix_hits(
     In each cell (one test point and one ordering) a hit count rises at a
     matching arrival, gathered from ``gains`` by player, and falls at a
     matching point's exit, written by assignment into an int8 array; the
-    sum along time is taken in the smallest signed type that holds K.
+    sum along time is taken in the smallest signed type that holds +K.
     Assignment loses no exit, because no two points of a cell exit at the
     same time below N.  An exit below N happens at the arrival of some
     point p, and each arrival is the exit of at most one point:
@@ -262,7 +262,8 @@ def _prefix_hits(
     # gained[t, b, r]: the label match of the point at position t of ordering r
     gained = gains[:, perms.T].transpose(1, 0, 2)
     np.subtract(gained, events, out=events)
-    return np.cumsum(events, axis=0, dtype=np.min_scalar_type(-k))
+    # a signed type that holds -K - 1 also holds +K, which the count reaches
+    return np.cumsum(events, axis=0, dtype=np.min_scalar_type(-k - 1))
 
 
 def knn_game(instances: KnnInstance | Sequence[KnnInstance]) -> Game:

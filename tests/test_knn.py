@@ -447,13 +447,13 @@ PREFIX_HIT_N_K = [
 class TestPrefixHits:
     """``_prefix_hits`` against counting, beyond 63 players and across the uint8 arrival type."""
 
-    @pytest.mark.parametrize("n, k", PREFIX_HIT_N_K)
-    def test_counts_match_brute_force(self, n, k):
+    @staticmethod
+    def check(n, k, p_match):
         g = np.random.default_rng([n, k])
         n_test, rows = 3, 4
         perms = np.argsort(g.random((rows, n)), axis=1)
         orders = np.argsort(g.random((n, n_test)), axis=0)
-        gains = (g.random((n_test, n)) < 0.6).astype(np.int8)
+        gains = (g.random((n_test, n)) < p_match).astype(np.int8)
         # the inputs as knn_game's prefix form builds them
         positions = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
         arrival = np.empty((n, rows), dtype=positions.dtype)
@@ -463,11 +463,21 @@ class TestPrefixHits:
         expected, exits = brute_prefix_hits(perms, orders, gains, k)
         assert hits.shape == (n, n_test, rows)
         assert np.array_equal(hits, expected)
+        return exits
+
+    @pytest.mark.parametrize("n, k", PREFIX_HIT_N_K)
+    def test_counts_match_brute_force(self, n, k):
+        exits = self.check(n, k, 0.6)
         # the exits are written by assignment: in each cell those before N are distinct
-        for b in range(n_test):
-            for r in range(rows):
+        for b in range(exits.shape[1]):
+            for r in range(exits.shape[2]):
                 early = exits[:, b, r][exits[:, b, r] < n]
                 assert np.unique(early).size == early.size
+
+    @pytest.mark.parametrize("k", [127, 128])
+    def test_counts_reach_k_when_every_point_matches(self, k):
+        # hit counts reach +K, past int8 at K = 128
+        self.check(256, k, 1.0)
 
 
 class TestPrefixForm:
