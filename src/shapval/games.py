@@ -99,10 +99,10 @@ class Game:
     layout it returns, since the samplers' sums over orderings are only
     bit-identical on a C-ordered block.
 
-    The built-in utilities score a batch of masks in fixed row blocks
-    (``_in_blocks``), so a whole-table batch from an exact oracle holds
-    one block's temporaries, not a (2^N, N) array.  The split changes
-    no value; see ``make_additive_game``.
+    The built-in utilities give a mask the same bits in any batch, which
+    a test checks.  They score a batch in fixed row blocks (``_in_blocks``),
+    so a whole-table batch from an exact oracle holds one block's
+    temporaries, not a (2^N, N) array.
 
     ``exact_values``, when known, are the Shapley values, one per player;
     the game keeps a read-only float64 copy.
@@ -147,8 +147,6 @@ class Game:
         self._range_tol = 1e-9 * max(1.0, self.range_r)
         # construction-time bookkeeping probes are not billed to any method:
         # one evaluation fixes the empty-coalition offset, one caches U(I).
-        # They stay one-row calls: a batch utility's last bits may depend on
-        # the batch's row count (a matrix product is summed in blocks).
         self._offset = float(self._evaluate(np.zeros(1, dtype=np.int64))[0])
         full = np.array([(1 << self.n_players) - 1], dtype=np.int64)
         total = float(self._evaluate(full)[0]) - self._offset
@@ -348,12 +346,9 @@ def exact_shapley_difference(
 
 # Rows per block of the member-weight sums.  A block's (rows, N) membership
 # is cast to float64 for the product, 2 MB at N = 63; at large N the rows
-# per block must shrink to keep that bounded.  Keep it a multiple of 64
-# rows: OpenBLAS 0.3.31's dgemv sums rows in groups of 4 counted from the
-# start of each call, so blocks of a multiple of 4 rows gave every sum the
-# bits of one call over the batch, while blocks of 2, 3 or 7 rows moved
-# 1.8k-6.4k of 16k sums in the last bits.  Smaller blocks cost time: at 512
-# rows a two-thread group-test job ran 15 % slower, at 4096 level.
+# per block must shrink to keep that bounded.  Any size gives the same bits
+# (see _weight_sums).  Smaller blocks cost time: at 512 rows a two-thread
+# group-test job ran 15 % slower, at 4096 level.
 _WEIGHT_ROWS = 4096
 
 
@@ -370,25 +365,28 @@ def _in_blocks(
 
     ``score(block, out)`` writes the utilities of a block of masks into
     ``out``, its zeroed slice of the result, so a batch's temporaries are
-    those of one block whatever its length.  numpy computes a one-row
-    product with ``dot``, not ``gemv``, which rounds differently, so a
-    lone last row joins the block before it.
+    those of one block whatever its length.
     """
-    count = masks.shape[0]
-    out = np.zeros(count, dtype=np.float64)
-    lo = 0
-    while lo < count:
-        hi = lo + rows if lo + rows + 1 < count else count
-        score(masks[lo:hi], out[lo:hi])
-        lo = hi
+    out = np.zeros(masks.shape[0], dtype=np.float64)
+    for lo in range(0, masks.shape[0], rows):
+        score(masks[lo : lo + rows], out[lo : lo + rows])
     return out
 
 
 def _weight_sums(masks: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sum of the member weights ``w`` of each mask, in _WEIGHT_ROWS blocks."""
+    """Sum of the member weights ``w`` of each mask, in _WEIGHT_ROWS blocks.
+
+    A mask's sum has the same bits in any batch and any block.  OpenBLAS
+    0.3.31's dgemv sums rows in groups of 4 counted from the start of each
+    call and may round the rows left over otherwise, and numpy takes a
+    one-row product through dot, which rounds unlike gemv.  So each block
+    is scored with zero masks, which sum to 0, padded up to a multiple of 4
+    rows, and only its own rows are kept.
+    """
 
     def score(block: np.ndarray, out: np.ndarray) -> None:
-        np.matmul(_membership(block, w.size), w, out=out)
+        padded = np.concatenate((block, np.zeros(-block.size % 4, dtype=np.int64)))
+        out[:] = np.matmul(_membership(padded, w.size), w)[: block.size]
 
     return _in_blocks(masks, _WEIGHT_ROWS, score)
 
@@ -418,10 +416,7 @@ def _weight_vector(weights: Sequence[float]) -> tuple[np.ndarray, float]:
 def make_additive_game(weights: Sequence[float]) -> Game:
     """U(S) = sum of member weights; the Shapley value is the weight vector.
 
-    A batch of masks is summed _WEIGHT_ROWS rows at a time.  Each block is
-    one matrix-vector product, which sums a mask's weights as one product
-    over the whole batch would: the block boundaries fall on the BLAS
-    kernel's groups of rows, and no block is a single row.
+    A mask's sum has the same bits in any batch, which a test checks.
     """
     w, total = _weight_vector(weights)
     if total <= 0:
@@ -460,8 +455,7 @@ def make_symmetric_game(n_players: int, size_values: Sequence[float] | None = No
         raise ValueError("at least one coalition size must have positive worth")
 
     def batch(masks: np.ndarray) -> np.ndarray:
-        sizes = np.bitwise_count(np.asarray(masks, dtype=np.int64).astype(np.uint64))
-        return f[sizes.astype(np.int64)]
+        return f[np.bitwise_count(masks)]
 
     return Game(
         n_players,
@@ -481,8 +475,7 @@ def make_glove_game() -> Game:
     """
 
     def batch(masks: np.ndarray) -> np.ndarray:
-        m = np.asarray(masks, dtype=np.int64)
-        return ((m & 1) > 0).astype(np.float64) * ((m & 0b110) > 0)
+        return ((masks & 1) > 0).astype(np.float64) * ((masks & 0b110) > 0)
 
     return Game(
         3,
@@ -531,7 +524,7 @@ def make_random_game(n_players: int, seed: int, range_r: float = 1.0) -> Game:
     table[0] = 0.0
 
     def batch(masks: np.ndarray) -> np.ndarray:
-        return table[np.asarray(masks, dtype=np.int64)]
+        return table[masks]
 
     return Game(
         n_players,

@@ -41,8 +41,7 @@ def drawn_tests(game, plan, t_tests, seed):
     drawn from ``plan``, the ``GroupTestPlan(game.n_players)`` it builds.
 
     Utilities are evaluated chunk by chunk, as ``run_tests`` evaluates
-    them: a lone last row is summed by ``dot`` rather than ``gemv``, so
-    one call over every test could move the last bits.
+    them.
     """
     masks, utils = [], []
     for index, (lo, hi) in enumerate(chunk_ranges(t_tests, _TEST_CHUNK)):

@@ -185,11 +185,14 @@ def test_criterion_06_group_testing_end_to_end():
     expected = 100_000 * plan10.q
     bands = 3.0 * np.sqrt(100_000 * plan10.q * (1 - plan10.q))
     freq_ok = bool(np.all(np.abs(counts - expected) <= bands))
-    # closed-form identity for the zero-contribution probability
-    ident_ok = all(
-        abs(GroupTestPlan(n).q_tot - (1 - 2 / GroupTestPlan(n).z_norm)) <= 1e-10
-        for n in range(2, 1001)
-    )
+    # the zero-contribution probability against its term sum
+    # sum_k q(k) P(size-k test treats a pair alike)
+    ident_ok = True
+    for n in range(2, 1001):
+        k = np.arange(1.0, n)
+        q = (1.0 / k + 1.0 / (n - k)) / (2.0 * math.fsum((1.0 / k).tolist()))
+        term_sum = math.fsum((q * (1.0 + (2.0 * k * (k - n)) / (n * (n - 1)))).tolist())
+        ident_ok &= abs(GroupTestPlan(n).q_tot - term_sum) <= 1e-15 * term_sum
     verdict(
         "6 group-testing end-to-end",
         hits >= 85 and freq_ok and ident_ok,

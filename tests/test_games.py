@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from shapval import (
     Game,
+    KnnInstance,
     ShapvalError,
     SizeGuardError,
     UtilityRangeError,
@@ -15,14 +16,16 @@ from shapval import (
     exact_shapley_difference,
     exact_shapley_permutations,
     exact_shapley_subsets,
+    knn_game,
     make_additive_game,
     make_glove_game,
     make_random_game,
     make_symmetric_game,
     make_voting_game,
 )
-from shapval.games import _in_blocks, _masks, _membership
-from conftest import brute_force_shapley, glove_mask_utility
+from shapval import games
+from shapval.games import RANDOM_GAME_PLAYERS, _in_blocks, _masks, _membership
+from conftest import brute_force_shapley, glove_mask_utility, run_python
 
 
 def sizes(masks):
@@ -313,9 +316,9 @@ def voting_half(weights):
 class TestBlocks:
     @pytest.mark.parametrize(
         "count, sizes",
-        [(0, []), (1, [1]), (2, [2]), (8, [8]), (9, [9]), (10, [8, 2]), (16, [8, 8]), (17, [8, 9])],
+        [(0, []), (1, [1]), (2, [2]), (8, [8]), (9, [8, 1]), (10, [8, 2]), (16, [8, 8]), (17, [8, 8, 1])],
     )
-    def test_each_row_scored_once_and_no_lone_last_row(self, count, sizes):
+    def test_each_row_scored_once_in_row_blocks(self, count, sizes):
         seen = []
 
         def score(block, out):
@@ -323,7 +326,6 @@ class TestBlocks:
             out += block
 
         assert _in_blocks(np.arange(count), 8, score).tolist() == list(range(count))
-        # numpy takes a one-row product through dot, which rounds unlike gemv
         assert seen == sizes
 
     @pytest.mark.parametrize("make", [make_additive_game, voting_half])
@@ -339,6 +341,86 @@ class TestBlocks:
             tracemalloc.stop()
         # one (2^N, N) float64 temporary alone would take this much
         assert peak < masks.size * n * 8
+
+
+def built_in_game(family, n):
+    """An n-player game of a built-in family, or None where it has none."""
+    rng = np.random.default_rng(n)
+    w = rng.uniform(0.0, 1.0, n)
+    if family == "additive":
+        return make_additive_game(w)
+    if family == "voting":
+        return voting_half(w)
+    if family == "symmetric":
+        return make_symmetric_game(n, np.r_[0.0, rng.uniform(0.0, 1.0, n)])
+    if family == "glove":
+        return make_glove_game() if n == 3 else None
+    if family == "random":
+        return make_random_game(n, n) if n <= RANDOM_GAME_PLAYERS else None
+    points, labels = rng.uniform(size=(n, 1)), rng.integers(0, 2, n)
+    k = max(1, n // 3)
+    return knn_game([KnnInstance(points, labels, rng.uniform(size=1), 1, k) for _ in range(2)])
+
+
+def batch_masks(n, count):
+    return np.random.default_rng(100 + n).integers(0, 1 << n, count, dtype=np.int64)
+
+
+def assert_any_split_gives_one_call(game, masks, sizes):
+    one_call = game.values_of_masks(masks).tobytes()
+    for size in sizes:
+        split = [game.values_of_masks(masks[lo : lo + size]) for lo in range(0, masks.size, size)]
+        assert np.concatenate(split).tobytes() == one_call, (game.n_players, size)
+
+
+class TestBatchInvariance:
+    """A built-in utility gives a mask the same bits in any batch, so the
+    game is a function of the coalition, as ``Game`` requires."""
+
+    @pytest.mark.parametrize("family", ["additive", "voting", "symmetric", "glove", "random", "knn"])
+    def test_any_split_gives_the_bits_of_one_call(self, family):
+        for n in range(2, 64):
+            game = built_in_game(family, n)
+            if game is not None:
+                largest = game
+                assert_any_split_gives_one_call(game, batch_masks(n, 130), (1, 2, 3, 5, 7, 63))
+        # two 4099-mask batches and more, across the 4096-row weight blocks
+        masks = batch_masks(largest.n_players, 8200)
+        assert_any_split_gives_one_call(largest, masks, (63, 4095, 4097, 4099))
+
+    @pytest.mark.parametrize("rows", [1, 3, 5, 64, 4096])
+    @pytest.mark.parametrize("family", ["additive", "voting"])
+    def test_any_weight_block_size_gives_the_same_bits(self, family, rows, monkeypatch):
+        for n in range(2, 64):
+            game, masks = built_in_game(family, n), batch_masks(n, 8200 if n == 63 else 130)
+            one_call = game.values_of_masks(masks)
+            with monkeypatch.context() as patch:
+                patch.setattr(games, "_WEIGHT_ROWS", rows)
+                assert game.values_of_masks(masks).tobytes() == one_call.tobytes(), n
+
+    def test_blas_thread_count_changes_no_bits(self, monkeypatch):
+        code = """if 1:
+            import hashlib, numpy as np
+            from shapval import make_additive_game, make_voting_game
+            w = np.random.default_rng(63).uniform(0.0, 1.0, 63)
+            masks = np.random.default_rng(7).integers(1, 1 << 63, 12291, dtype=np.int64)
+            for game in (make_additive_game(w), make_voting_game(w, w.sum() / 2)):
+                # one call of 3 * 4096 + 3 masks, then batches that leave 1 to 3 rows over
+                for size in (masks.size, 8192, 4099, 7):
+                    vals = [game.values_of_masks(masks[lo : lo + size]) for lo in range(0, masks.size, size)]
+                    print(game.name, size, hashlib.sha256(np.concatenate(vals).tobytes()).hexdigest())
+            """
+        hashes = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            result = run_python("-c", code)
+            assert result.returncode == 0, result.stderr
+            hashes.append(result.stdout)
+        assert hashes[0] == hashes[1] == hashes[2]
+        lines = [line.split() for line in hashes[0].splitlines()]
+        assert len(lines) == 8
+        # and every split of a game's masks gives the bits of one call
+        assert len({(name, sha) for name, _, sha in lines}) == 2
 
 
 class TestExactOracles:

@@ -270,6 +270,14 @@ class TestChunkTotals:
         phi = marginal_chunk(identity_games[name], 21, "perm", 0, 50)
         assert np.any(np.signbit(phi) & (phi == 0.0))
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 129, 255])
+    def test_partial_chunk_is_the_full_chunks_first_rows(self, r):
+        # a chunk's first r orderings are the same whatever its length, and
+        # so are their marginals, since a mask's utility is batch-invariant
+        game = make_additive_game(np.random.default_rng(63).uniform(0.0, 1.0, 63))
+        full = marginal_chunk(game, 5, "perm", 2, ORDERING_CHUNK)
+        assert marginal_chunk(game, 5, "perm", 2, r).tobytes() == full[:r].tobytes()
+
 
 class TestEvalCounts:
     """Each estimator reports the evaluations it billed, not the change of
