@@ -39,9 +39,6 @@ def run_python(*args):
 def drawn_tests(game, plan, t_tests, seed):
     """(masks, utilities) of the tests ``run_tests(game, t_tests, seed)`` runs,
     drawn from ``plan``, the ``GroupTestPlan(game.n_players)`` it builds.
-
-    Utilities are evaluated chunk by chunk, as ``run_tests`` evaluates
-    them.
     """
     masks, utils = [], []
     for index, (lo, hi) in enumerate(chunk_ranges(t_tests, _TEST_CHUNK)):

@@ -215,7 +215,7 @@ def test_decoded_utilities_across_blocks(games):
     assert digest(additive.values_of_masks(wide)) == (
         "15d908ca839d25df58ac003af921fe2f490be273c52660577c7a7229c87bf00c"
     )
-    # one row past a block: summed with the block before it, as in one call
+    # one row past a block: a one-row block, padded to 4 rows, gives the bits of one call
     assert digest(additive.values_of_masks(wide[:4097])) == (
         "5d0cc855de49a1e53da09996f683eb3e4206787a21172f0d94e9cf5bf05c6398"
     )
