@@ -35,7 +35,7 @@ from .games import (
     make_symmetric_game,
     make_voting_game,
 )
-from .parallel import _MAX_THREADS
+from .parallel import resolve_threads
 from .results import ResultRecord, _csv_text, write_record
 
 if TYPE_CHECKING:
@@ -203,8 +203,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{_FLAGS[name]} must be positive, got {value}")
-        if self.threads is not None and self.threads > _MAX_THREADS:
-            raise ConfigError(f"--threads must be at most {_MAX_THREADS}, got {self.threads}")
+        resolve_threads(self.threads)  # the upper bound and SHAPVAL_THREADS, for every method
         if self.game_kind == "random" and self.players > RANDOM_GAME_PLAYERS:
             raise ConfigError(
                 f"--players must be at most {RANDOM_GAME_PLAYERS} for random games,"
@@ -339,10 +338,17 @@ def _estimator_values(config: ExperimentConfig, game: Game) -> ValueVector:
     raise UnknownMethodError(f"unknown method {method!r}")
 
 
+def _check_oracle_guard(config: ExperimentConfig, n_players: int) -> None:
+    """Refuse ``--with-oracle`` above ORACLE_GUARD players before any method runs."""
+    if config.with_oracle and n_players > ORACLE_GUARD:
+        raise SizeGuardError(
+            f"oracle error metrics are limited to {ORACLE_GUARD} players, got {n_players}"
+        )
+
+
 def run_experiment(config: ExperimentConfig) -> ResultRecord:
     """Dispatch to the configured method; optionally attach oracle error metrics."""
     start = time.perf_counter()
-    oracle_game: Game | None = None
     if config.method == "loo-influence":
         if config.with_oracle:
             raise ConfigError("--with-oracle is not supported for loo-influence")
@@ -351,21 +357,16 @@ def run_experiment(config: ExperimentConfig) -> ResultRecord:
         from . import knn
 
         instances = load_knn_instances(config)
+        _check_oracle_guard(config, instances[0].n_players)
         vv = knn.knn_shapley_testset(instances)
-        if config.with_oracle:
-            oracle_game = knn.knn_game(instances)
+        game = knn.knn_game(instances) if config.with_oracle else None
     else:
         game = build_game(config)
+        _check_oracle_guard(config, game.n_players)
         vv = _estimator_values(config, game)
-        oracle_game = game
     l2_err = linf_err = None
     if config.with_oracle:
-        assert oracle_game is not None
-        if oracle_game.n_players > ORACLE_GUARD:
-            raise SizeGuardError(
-                f"oracle error metrics are limited to {ORACLE_GUARD} players"
-            )
-        oracle = exact_shapley_subsets(oracle_game)
+        oracle = exact_shapley_subsets(game)
         diff = vv.values - oracle.values
         l2_err = float(np.linalg.norm(diff))
         linf_err = float(np.max(np.abs(diff)))

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ShapvalError
 from .games import Game, ValueVector
-from .parallel import check_count, chunk_ranges, ordered_chunk_map
-from .permutation import ORDERING_CHUNK, _check_accuracy, marginal_chunk
+from .parallel import check_count, ordered_chunk_map
+from .permutation import ORDERING_CHUNK, _budget, _check_accuracy, marginal_chunk
 from .rng import stream
 
 __all__ = [
@@ -66,7 +66,7 @@ def compressive_sample(
             )
         return y.sum(axis=0)
 
-    total = ordered_chunk_map(chunk_sum, chunk_ranges(t_permutations, ORDERING_CHUNK), threads)
+    total = ordered_chunk_map(chunk_sum, range(0, t_permutations, ORDERING_CHUNK), threads)
     return a, total / t_permutations
 
 
@@ -163,7 +163,8 @@ def required_t_compressive(range_r: float, epsilon: float, delta: float, m_rows:
     """Orderings per measurement row: ceil((2 r^2 / eps^2) ln(4M / delta))."""
     _check_accuracy(range_r, epsilon, delta)
     check_count("m_rows", m_rows)
-    return max(1, math.ceil((2.0 * range_r**2 / epsilon**2) * math.log(4.0 * m_rows / delta)))
+    log_rows = math.log(4.0 * m_rows / delta)
+    return _budget("compressive ordering", lambda: (2.0 * range_r**2 / epsilon**2) * log_rows)
 
 
 def estimate_compressive(

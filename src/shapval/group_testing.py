@@ -23,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .games import Game, ValueVector, _masks
-from .parallel import check_count, chunk_ranges, ordered_chunk_map, resolve_threads
-from .permutation import ORDERING_CHUNK, _check_accuracy, sample_orderings
+from .parallel import check_count, ordered_chunk_map, resolve_threads
+from .permutation import ORDERING_CHUNK, _budget, _check_accuracy, sample_orderings
 from .rng import stream
 
 __all__ = [
@@ -133,8 +133,8 @@ def required_tests(n_players: int, epsilon: float, delta: float, range_r: float)
     plan = GroupTestPlan(n_players)
     spread = 1.0 - plan.q_tot**2
     u = epsilon / (plan.z_norm * range_r * math.sqrt(n_players) * spread)
-    bound = 8.0 * math.log(n_players * (n_players - 1) / (2.0 * delta)) / (spread * bennett_h(u))
-    return max(1, math.ceil(bound))
+    log_pairs = math.log(n_players * (n_players - 1) / (2.0 * delta))
+    return _budget("group-test", lambda: 8.0 * log_pairs / (spread * bennett_h(u)))
 
 
 def _uniform_subsets(g: np.random.Generator, ks: np.ndarray, n: int) -> np.ndarray:
@@ -200,7 +200,7 @@ def run_tests(game: Game, t_tests: int, seed: int) -> np.ndarray:
     plan = GroupTestPlan(game.n_players)
     total = ordered_chunk_map(
         lambda i, lo, hi: _test_chunk(game, plan, seed, i, lo, hi),
-        chunk_ranges(t_tests, _TEST_CHUNK),
+        range(0, t_tests, _TEST_CHUNK),
         1,
     )
     return (plan.z_norm / t_tests) * total
@@ -281,14 +281,16 @@ def optimize_split_constants(
     plan = GroupTestPlan(n_players)
     grid = 2.0 ** (np.arange(1, 65) / 10.0)  # 64 points in (1, 100]
     ce, cd = np.meshgrid(grid, grid, indexing="ij")
-    m1, m2 = _baseline_budgets(plan, epsilon, delta, range_r, ce, cd)
+    m1 = m2 = None
+
+    def smallest_total() -> float:  # NaN if any total is
+        nonlocal m1, m2
+        m1, m2 = (m.ravel() for m in _baseline_budgets(plan, epsilon, delta, range_r, ce, cd))
+        return (m1 + m2).min()
+
+    _budget("baseline-route", smallest_total)
     k = int(np.argmin(m1 + m2))
-    return BaselineSplit(
-        c_eps=float(ce.ravel()[k]),
-        c_delta=float(cd.ravel()[k]),
-        m1=int(m1.ravel()[k]),
-        m2=int(m2.ravel()[k]),
-    )
+    return BaselineSplit(float(ce.ravel()[k]), float(cd.ravel()[k]), int(m1[k]), int(m2[k]))
 
 
 def _baseline_player_value(
@@ -301,6 +303,7 @@ def _baseline_player_value(
     costs two utility evaluations, or one when player 0 comes first.  A
     chunk returns its gain and its evaluations; the count is exact in float64.
     """
+    check_count("t_orderings", t_orderings)
     n = game.n_players
 
     def chunk_sum(i: int, lo: int, hi: int) -> np.ndarray:
@@ -312,7 +315,7 @@ def _baseline_player_value(
         gain = game.values_of_masks(with_mask) - game.values_of_masks(before_mask)
         return np.array([gain.sum(), hi - lo + np.count_nonzero(before_mask)])
 
-    gain, evals = ordered_chunk_map(chunk_sum, chunk_ranges(t_orderings, ORDERING_CHUNK), threads)
+    gain, evals = ordered_chunk_map(chunk_sum, range(0, t_orderings, ORDERING_CHUNK), threads)
     return float(gain) / t_orderings, int(evals)
 
 

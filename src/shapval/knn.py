@@ -44,14 +44,14 @@ all its instances from one column copy of their shared training points.
 caches: it sorts one test point at a time from one column copy and
 reused buffers, compares the training labels once per distinct test
 label and gathers that row by each test point's order, and adds each
-test point's closed form in test-point order, so its values equal the
-mean of ``knn_shapley_exact`` bit for bit.  Its memory is that of one
-test point, whatever the test-set size.
+test point's closed form in test-point order.  Its memory is that of one
+test point, whatever the test-set size.  ``knn_shapley_exact`` is the
+test set of one instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Hashable, Sequence
 
@@ -328,34 +328,9 @@ def knn_shapley_exact(instance: KnnInstance) -> ValueVector:
     (match_i - match_{i+1}) / K * (min(K-1, i-1) + 1) / i,
     where i is the 1-based distance rank.  Equal adjacent labels
     therefore share exactly equal values.  No utility evaluations are
-    consumed.
+    consumed.  These are the values of ``knn_shapley_testset([instance])``.
     """
-    values = np.empty(instance.n_players, dtype=np.float64)
-    values[instance.order] = _sorted_values(instance.matches, _steps(instance))
-    return ValueVector(values, method="knn-exact", eval_count=0)
-
-
-def _steps(instance: KnnInstance) -> np.ndarray:
-    """(1/K) * (min(K-1, i-1) + 1) / i for the ranks i = 1..N-1, shared by every test point."""
-    ranks = np.arange(1, instance.n_players, dtype=np.float64)
-    reach = np.minimum(instance.k_neighbors - 1, ranks - 1) + 1.0
-    return 1.0 / instance.k_neighbors * reach / ranks
-
-
-def _sorted_values(ind: np.ndarray, steps: np.ndarray, scan: np.ndarray | None = None) -> np.ndarray:
-    """The closed form in distance order, from the match indicators in that order.
-
-    ``steps`` is ``_steps``; ``scan`` is an optional (N - 1,) scratch
-    buffer.  For a label difference d in {-1, 0, 1}, d * step equals
-    (d / K) * reach / i exactly.
-    """
-    n = ind.shape[0]
-    increments = np.multiply(ind[:-1] - ind[1:], steps, out=scan)
-    np.cumsum(increments[::-1], out=increments[::-1])
-    sorted_values = np.empty(n, dtype=np.float64)
-    sorted_values[n - 1] = float(ind[n - 1]) / n
-    np.add(sorted_values[n - 1], increments, out=sorted_values[:-1])
-    return sorted_values
+    return replace(knn_shapley_testset([instance]), method="knn-exact")
 
 
 def _check_shared_training(instances: Sequence[KnnInstance]) -> None:
@@ -380,20 +355,28 @@ def knn_shapley_testset(instances: Sequence[KnnInstance]) -> ValueVector:
     Averaging is exact: values add across utilities, and the test-set
     utility is the mean of the per-test-point utilities.  Test points are
     sorted one at a time, and no instance's ``order`` or ``matches`` is
-    computed or kept.
+    computed or kept.  Each test point's closed form runs in distance
+    order over its label matches ``hit``; for a label difference d in
+    {-1, 0, 1}, d * step equals (d / K) * (min(K-1, i-1) + 1) / i exactly.
     """
     _check_shared_training(instances)
     first = instances[0]
-    labels, n = first.labels, first.n_players
+    labels, n, k = first.labels, first.n_players, first.k_neighbors
     rows: dict = {}
     sweep = _Sweep(first.points)  # the instances hold equal training points
-    steps = _steps(first)
-    scan, part = np.empty(n - 1), np.empty(n)
+    ranks = np.arange(1, n, dtype=np.float64)
+    steps = 1.0 / k * (np.minimum(k - 1, ranks - 1) + 1.0) / ranks
+    part = np.empty(n)
     total = np.zeros(n, dtype=np.float64)
     for inst in instances:
         order = _distance_order(inst, sweep)
         hit = _label_row(rows, labels, inst.test_label)[order].view(np.int8)
-        part[order] = _sorted_values(hit, steps, scan)  # the additions of total[order] += ...
+        # inward from the farthest point; part holds the additions of total[order] += ...
+        scan = (hit[:-1] - hit[1:]) * steps
+        np.cumsum(scan[::-1], out=scan[::-1])
+        farthest = float(hit[-1]) / n
+        part[order[:-1]] = farthest + scan
+        part[order[-1]] = farthest
         total += part
     return ValueVector(total / len(instances), method="knn-testset", eval_count=0)
 

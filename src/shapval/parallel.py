@@ -22,7 +22,7 @@ from __future__ import annotations
 import numbers
 import os
 import threading
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -69,13 +69,10 @@ def resolve_threads(requested: int | None = None) -> int:
 
 
 def check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a positive integer; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
-def chunk_ranges(total: int, size: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+    """Raise ValueError unless ``value`` is an integer in [1, 2^63), so that a
+    ``range`` of it has a length; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 < value < 1 << 63:
+        raise ValueError(f"{name} must be a positive integer below 2^63, got {value!r}")
 
 
 _pool: ThreadPoolExecutor | None = None
@@ -108,13 +105,14 @@ def _start_helpers(work: Callable[[], None], count: int) -> list[Future]:
 
 def ordered_chunk_map(
     fn: Callable[[int, int, int], np.ndarray],
-    ranges: Sequence[tuple[int, int]],
+    ranges: range,
     threads: int | None = None,
 ) -> np.ndarray:
     """Float64 sum of fn(chunk_index, lo, hi) over at least one chunk, in chunk order.
 
-    It keeps its map name because the benchmark's tracer patches it by name.
-    ``threads`` goes through ``resolve_threads``.  Chunks are claimed in
+    Chunk i of ``ranges``, a ``range(0, total, size)``, covers
+    [ranges[i], min(ranges[i] + size, total)).  It keeps its map name
+    because the benchmark's tracer patches it by name.  ``threads`` goes through ``resolve_threads``.  Chunks are claimed in
     increasing index order, and a finished result waits in ``pending``
     only until every lower index has been added: the additions of
     ``total = parts[0]; total += parts[1]; ...``, in that order, since
@@ -139,9 +137,9 @@ def ordered_chunk_map(
                     return
                 i = claimed
                 claimed += 1
-            lo, hi = ranges[i]
+            lo = ranges[i]
             try:
-                part = fn(i, lo, hi)
+                part = fn(i, lo, min(lo + ranges.step, ranges.stop))
             except BaseException as exc:  # raised by the caller below
                 with lock:
                     errors[i] = exc

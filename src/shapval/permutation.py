@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .games import Game, ValueVector
-from .parallel import check_count, chunk_ranges, ordered_chunk_map
+from .parallel import check_count, ordered_chunk_map
 from .rng import stream
 
 __all__ = [
@@ -49,6 +50,19 @@ def _check_accuracy(range_r: float | None, epsilon: float | None, delta: float |
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
 
 
+def _budget(name: str, bound: Callable[[], float]) -> int:
+    """max(1, ceil(bound())); a ValueError naming the budget unless the bound is a
+    finite number, as where r^2 overflows or eps^2 underflows to a zero divisor."""
+    try:
+        with np.errstate(all="ignore"):
+            value = float(bound())
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the {name} budget is not a finite number for these inputs")
+    return max(1, math.ceil(value))
+
+
 def required_permutations(range_r: float, n_players: int, epsilon: float, delta: float) -> int:
     """Orderings needed for an (epsilon, delta) guarantee in l2 norm.
 
@@ -58,10 +72,11 @@ def required_permutations(range_r: float, n_players: int, epsilon: float, delta:
     _check_accuracy(range_r, epsilon, delta)
     if n_players < 1:
         raise ValueError("need at least one player")
-    bound = (2.0 * range_r * range_r * n_players / (epsilon * epsilon)) * math.log(
-        2.0 * n_players / delta
+    return _budget(
+        "permutation",
+        lambda: (2.0 * range_r * range_r * n_players / (epsilon * epsilon))
+        * math.log(2.0 * n_players / delta),
     )
-    return max(1, math.ceil(bound))
 
 
 @dataclass(frozen=True)
@@ -145,7 +160,7 @@ def estimate_permutation(
     t = budget.t_permutations
     total = ordered_chunk_map(
         lambda i, lo, hi: _marginal_totals(game, seed, "perm", i, hi - lo),
-        chunk_ranges(t, ORDERING_CHUNK),
+        range(0, t, ORDERING_CHUNK),
         threads,
     )
     return ValueVector(

@@ -4,10 +4,13 @@ These deliberately avoid the library's own computation paths: the
 Shapley oracle walks orderings directly from the definition, the
 max-violation oracle is a linear program, the sparse oracle is an
 exhaustive least-squares search, the Pascal-identity sum is summed
-term by term, and the KNN utility is a loop over one coalition at a time.
+term by term, and the KNN utility is a loop over one coalition at a time,
+in its own stable argsort of the feature-order distances and with its
+own label compare.
 ``run_python`` runs a fresh interpreter on the package under test, and
 ``drawn_tests`` redraws a group-test run's coalitions through the
-estimator's own draw, so the tests examine the tests it ran.
+estimator's own draw, so the tests examine the tests it ran.  ``chunks``
+lists the chunks ``ordered_chunk_map`` runs over ``range(0, total, size)``.
 """
 
 import itertools
@@ -25,7 +28,6 @@ import shapval
 from shapval import Game
 from shapval.games import _masks
 from shapval.group_testing import _TEST_CHUNK, _draw_tests
-from shapval.parallel import chunk_ranges
 
 
 def run_python(*args):
@@ -36,12 +38,17 @@ def run_python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
+def chunks(total, size):
+    """(index, lo, hi) of each chunk of ``range(0, total, size)``."""
+    return [(i, lo, min(lo + size, total)) for i, lo in enumerate(range(0, total, size))]
+
+
 def drawn_tests(game, plan, t_tests, seed):
     """(masks, utilities) of the tests ``run_tests(game, t_tests, seed)`` runs,
     drawn from ``plan``, the ``GroupTestPlan(game.n_players)`` it builds.
     """
     masks, utils = [], []
-    for index, (lo, hi) in enumerate(chunk_ranges(t_tests, _TEST_CHUNK)):
+    for index, lo, hi in chunks(t_tests, _TEST_CHUNK):
         chunk = _masks(_draw_tests(plan, seed, index, hi - lo))
         masks.append(chunk)
         utils.append(game.values_of_masks(chunk))
@@ -123,14 +130,23 @@ def pascal_identity_lhs(a, n, m):
     return total
 
 
-def knn_loop_utility(instance, mask):
-    """Match fraction over the coalition's closest min(|S|, K) members."""
+def feature_order_distances(points, test_point, distance):
+    """The distances, summed over features one feature at a time."""
+    dist = np.zeros(points.shape[0])
+    for j in range(points.shape[1]):
+        delta = points[:, j] - test_point[j]
+        dist = dist + (delta * delta if distance == "euclidean" else np.abs(delta))
+    return dist
+
+
+def knn_loop_utility(instance, order, mask):
+    """Match fraction over the coalition's closest min(|S|, K) members, with
+    ``order`` the stable argsort of the instance's distances."""
     k = instance.k_neighbors
-    hits = 0.0
-    taken = 0
-    for pos, original in enumerate(instance.order):
+    hits = taken = 0
+    for original in order:
         if mask >> int(original) & 1:
-            hits += instance.matches[pos]
+            hits += bool(instance.labels[original] == instance.test_label)
             taken += 1
             if taken == k:
                 break
@@ -139,11 +155,15 @@ def knn_loop_utility(instance, mask):
 
 def knn_loop_game(instances):
     """Mean loop utility over the instances, summed in the order knn_game sums."""
+    orders = [
+        np.argsort(feature_order_distances(inst.points, inst.test_point, inst.distance), kind="stable")
+        for inst in instances
+    ]
 
     def batch(masks):
         out = np.zeros(masks.shape[0], dtype=np.float64)
-        for inst in instances:
-            out += np.array([knn_loop_utility(inst, int(m)) for m in masks])
+        for inst, order in zip(instances, orders):
+            out += np.array([knn_loop_utility(inst, order, int(m)) for m in masks])
         return out / len(instances)
 
     return Game(instances[0].n_players, batch, range_r=1.0, name="knn-loop")

@@ -259,6 +259,26 @@ class TestMainExitCodes:
         code = main(["exact", "--game", "additive", "--weights", weights, "--with-oracle"])
         assert code == EXIT_SIZE_GUARD
 
+    @pytest.mark.parametrize("case", ["knn-100", "knn-30", "exact-21"])
+    def test_oracle_guard_comes_before_the_method(self, case, tmp_path, monkeypatch, capsys):
+        from shapval import cli, knn
+
+        def never(*args, **kwargs):
+            raise AssertionError("the method ran before the oracle guard")
+
+        monkeypatch.setattr(knn, "knn_shapley_testset", never)
+        monkeypatch.setattr(cli, "exact_shapley_subsets", never)
+        if case == "exact-21":
+            argv = ["exact", "--game", "symmetric", "--players", "21"]
+        else:
+            n = int(case.split("-")[1])
+            train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+            train.write_text("".join(f"{i}.5,{i % 2}\n" for i in range(n)))
+            test.write_text("0.0,1\n")
+            argv = ["knn", "--train", str(train), "--test", str(test), "--k", "3"]
+        assert main([*argv, "--with-oracle"]) == EXIT_SIZE_GUARD
+        assert "oracle error metrics are limited to 20 players" in one_line_error(capsys)
+
     def test_player_limit_is_a_one_line_error(self, capsys):
         code = main(["perm", "--game", "symmetric", "--players", "64", "--permutations", "5"])
         assert code == EXIT_FAILURE
@@ -566,12 +586,29 @@ class TestRejectedInputs:
         assert main([*argv, "--config", str(cfg)]) == EXIT_BAD_CONFIG
         assert f"--{flag} must be positive" in one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "command", ["perm", "exact", "knn", "uniform", "loo-influence"]
+    )
     @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3", "257"])
-    def test_threads_variable_must_be_a_positive_integer(self, value, monkeypatch, capsys):
+    def test_threads_variable_must_be_a_positive_integer(
+        self, value, command, tmp_path, monkeypatch, capsys
+    ):
         monkeypatch.setenv("SHAPVAL_THREADS", value)
-        argv = ["perm", "--game", "glove", "--permutations", "3"]
+        train, test = write_knn_files(tmp_path)
+        dataset = ["--train", str(train), "--test", str(test)]
+        argv = {
+            "perm": ["perm", "--game", "glove", "--permutations", "3"],
+            "knn": ["knn", *dataset, "--k", "1"],
+            "loo-influence": ["loo-influence", *dataset],
+        }.get(command, [command, "--game", "glove"])
         assert main(argv) == EXIT_BAD_CONFIG
         assert "SHAPVAL_THREADS" in one_line_error(capsys)
+
+    def test_sized_budget_that_overflows_is_a_one_line_error(self, capsys):
+        argv = ["perm", "--game", "symmetric", "--players", "3", "--size-values", "0,1,1,1e308"]
+        assert main([*argv, "--epsilon", "0.1", "--delta", "0.1"]) == EXIT_FAILURE
+        err = one_line_error(capsys)
+        assert "permutation budget is not a finite number" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", METHODS)
     def test_epsilon_and_delta_out_of_range(self, command, tmp_path, capsys):

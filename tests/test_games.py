@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from shapval import (
     make_voting_game,
 )
 from shapval import games
-from shapval.games import RANDOM_GAME_PLAYERS, _in_blocks, _masks, _membership
+from shapval.games import RANDOM_GAME_PLAYERS, _in_blocks, _inverse_binomial, _masks, _membership
 from conftest import brute_force_shapley, glove_mask_utility, run_python
 
 
@@ -128,11 +129,17 @@ class TestGame:
     def test_bad_masks_are_rejected_before_evaluation(self, kind):
         g = make_additive_game((1.0, 2.0, 3.0)) if kind == "additive" else make_random_game(4, seed=1)
         top = 1 << g.n_players
-        for masks in ([-1], [top], [1, top + 5], [np.iinfo(np.int64).min], [1 << 70], [[1, 2]], 1):
+        bad = [[-1], [top], [1, top + 5], [np.iinfo(np.int64).min], [1 << 70], [[1, 2]], 1]
+        # non-integer dtypes: no truncation of a float, no bool read as 0 and 1
+        bad += [[3.7], [1.0], [True, False], np.array([1], dtype=object), [-1, 1 << 63]]
+        for masks in bad:
             with pytest.raises(ShapvalError, match="coalition masks must be"):
                 g.values_of_masks(masks)
         assert g.eval_count == 0  # rejected before anything is evaluated
         assert g.values_of_masks([top - 1])[0] == pytest.approx(g.u_total)
+        # numpy reads an empty list as float64; it stays an empty batch
+        assert g.values_of_masks([]).tolist() == []
+        assert g.values_of_masks(np.array([1, 2], dtype=np.uint8)).tolist() == g.values_of_masks([1, 2]).tolist()
 
     @pytest.mark.parametrize("masks", [[1, 2, 3, 2], [0, 1, 2, 3], [3, 0, 0, 1], [0, 0], []])
     def test_batches_with_and_without_empty_masks(self, masks):
@@ -442,6 +449,12 @@ class TestBatchInvariance:
 
 
 class TestExactOracles:
+    def test_subset_weights_are_correctly_rounded(self):
+        # C(n, k) passes 2^53 at n = 57, so a float division of it rounds twice
+        for n in range(21, 60):
+            for k in range(n + 1):
+                assert _inverse_binomial(n, k) == float(Fraction(1, math.comb(n, k))), (n, k)
+
     def test_additive_game_recovers_weights(self):
         g = make_additive_game((1.0, 2.0, 3.0))
         assert_allclose(exact_shapley_subsets(g).values, [1.0, 2.0, 3.0], atol=1e-12)

@@ -18,10 +18,10 @@ from shapval import (
 )
 
 import shapval.knn as knn_module
-from shapval.parallel import chunk_ranges, ordered_chunk_map
+from shapval.parallel import ordered_chunk_map
 from shapval.permutation import marginal_chunk, sample_orderings
 
-from conftest import knn_loop_game, pascal_identity_lhs
+from conftest import feature_order_distances, knn_loop_game, pascal_identity_lhs
 
 
 def line_instance(labels, k, test_label="pos", distance="euclidean"):
@@ -244,15 +244,6 @@ def permuted_rows(rng, n, d):
     """Rows that each permute one draw of d coordinates: their distances to
     the origin are equal up to the rounding of the sum."""
     return rng.normal(size=d)[np.array([rng.permutation(d) for _ in range(n)])]
-
-
-def feature_order_distances(points, test_point, distance):
-    """The distances, summed over features one feature at a time."""
-    dist = np.zeros(points.shape[0])
-    for j in range(points.shape[1]):
-        delta = points[:, j] - test_point[j]
-        dist = dist + (delta * delta if distance == "euclidean" else np.abs(delta))
-    return dist
 
 
 def layouts(points):
@@ -504,7 +495,7 @@ class TestPrefixForm:
 
         for threads in (1, 2):
             checked.clear()
-            ordered_chunk_map(chunk, chunk_ranges(70, 25), threads)
+            ordered_chunk_map(chunk, range(0, 70, 25), threads)
             assert sorted(checked) == [0, 1, 2]
 
 

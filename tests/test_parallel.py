@@ -21,8 +21,10 @@ import pytest
 
 from shapval import estimate_compressive, estimate_permutation, make_additive_game, PermutationBudget
 from shapval.group_testing import _TEST_CHUNK, estimate_group_testing
-from shapval.parallel import chunk_ranges, ordered_chunk_map
+from shapval.parallel import ordered_chunk_map
 from shapval.permutation import ORDERING_CHUNK
+
+from conftest import chunks
 
 THREADS = [2, 3]
 JOIN_TIMEOUT = 60.0
@@ -78,7 +80,7 @@ ORDER_SENSITIVE = [1.0, 2.0**53, 1.0, -(2.0**53)]
 
 @pytest.mark.parametrize("threads", [1, *THREADS])
 def test_results_added_in_chunk_order_when_later_chunks_finish_first(threads):
-    ranges = chunk_ranges(30, 4)
+    ranges = range(0, 30, 4)
     finished = []
     last_done = threading.Event()
 
@@ -90,7 +92,7 @@ def test_results_added_in_chunk_order_when_later_chunks_finish_first(threads):
             last_done.set()
         return np.array([ORDER_SENSITIVE[i % 4], hi - lo])
 
-    parts = [np.array([ORDER_SENSITIVE[i % 4], hi - lo]) for i, (lo, hi) in enumerate(ranges)]
+    parts = [np.array([ORDER_SENSITIVE[i % 4], hi - lo]) for i, lo, hi in chunks(30, 4)]
     in_order = functools.reduce(lambda a, b: a + b, parts)
     assert in_order.tobytes() != functools.reduce(lambda a, b: a + b, parts[::-1]).tobytes()
     got = ordered_chunk_map(fn, ranges, threads)
@@ -100,11 +102,11 @@ def test_results_added_in_chunk_order_when_later_chunks_finish_first(threads):
     assert finished[-1] == (len(ranges) - 1 if threads == 1 else 0)
 
 
-def chunk_peak_bytes(chunks):
+def chunk_peak_bytes(count):
     """tracemalloc peak of a one-thread call whose one-index chunks each return 80 kB."""
     tracemalloc.start()
     try:
-        ordered_chunk_map(lambda i, lo, hi: np.ones(10_000), chunk_ranges(chunks, 1), 1)
+        ordered_chunk_map(lambda i, lo, hi: np.ones(10_000), range(0, count, 1), 1)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -113,6 +115,26 @@ def chunk_peak_bytes(chunks):
 def test_memory_does_not_grow_with_the_chunk_count():
     # a list of every chunk's result would hold 400 * 80 kB = 32 MB
     assert chunk_peak_bytes(400) - chunk_peak_bytes(4) < 1_000_000
+
+
+def failed_call_peak_bytes(count):
+    """tracemalloc peak of a one-thread call over ``count`` chunks whose first raises."""
+
+    def fail(i, lo, hi):
+        raise RuntimeError("chunk 0")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="chunk 0"):
+            ordered_chunk_map(fail, range(0, count, 1), 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_chunk_is_listed_before_it_runs():
+    # a list of 2^16 (lo, hi) tuples would take several MB
+    assert failed_call_peak_bytes(1 << 16) - failed_call_peak_bytes(1) < 4096
 
 
 @pytest.mark.parametrize("threads", [1, *THREADS])
@@ -131,7 +153,7 @@ def test_lowest_index_failure_is_raised_and_nothing_is_left_running(threads):
 
     with pytest.raises(KeyError, match="chunk 1"):
         try:
-            ordered_chunk_map(tracker.wrap(body), chunk_ranges(40, 1), threads)
+            ordered_chunk_map(tracker.wrap(body), range(0, 40, 1), threads)
         finally:
             assert tracker.running == 0
     assert set(tracker.started) >= {0, 1}
@@ -153,7 +175,7 @@ def test_no_chunk_starts_after_a_failure(threads):
         return i
 
     with pytest.raises(RuntimeError, match="chunk 1"):
-        ordered_chunk_map(tracker.wrap(body), chunk_ranges(50, 1), threads)
+        ordered_chunk_map(tracker.wrap(body), range(0, 50, 1), threads)
     assert tracker.running == 0
     assert 1 in tracker.started
     assert max(tracker.started) < threads
@@ -161,7 +183,7 @@ def test_no_chunk_starts_after_a_failure(threads):
 
 @pytest.mark.parametrize("threads", THREADS)
 def test_nested_calls_complete(threads):
-    inner = chunk_ranges(30, 4)  # 8 chunks, so ORDER_SENSITIVE folds to 0.0 in order
+    inner = range(0, 30, 4)  # 8 chunks, so ORDER_SENSITIVE folds to 0.0 in order
 
     def outer_chunk(i, lo, hi):
         fold, owner, size = ordered_chunk_map(
@@ -171,13 +193,13 @@ def test_nested_calls_complete(threads):
         return np.array([i, 1])
 
     def call():
-        return ordered_chunk_map(outer_chunk, chunk_ranges(7, 1), threads)
+        return ordered_chunk_map(outer_chunk, range(0, 7, 1), threads)
 
     assert run_bounded(call).tolist() == [sum(range(7)), 7]
 
 
 def test_repeated_calls_start_no_new_threads():
-    ranges = chunk_ranges(9, 2)
+    ranges = range(0, 9, 2)
     for threads in THREADS:
         ordered_chunk_map(lambda i, lo, hi: i, ranges, threads)
     before = threading.active_count()
@@ -198,7 +220,7 @@ def nap(i, lo, hi):
 @pytest.mark.parametrize("threads", [1, *THREADS])
 def test_calling_thread_runs_chunks(threads):
     tracker = Tracker()
-    ordered_chunk_map(tracker.wrap(nap), chunk_ranges(12, 1), threads)
+    ordered_chunk_map(tracker.wrap(nap), range(0, 12, 1), threads)
     assert threading.get_ident() in tracker.threads
     assert sorted(tracker.started) == list(range(12))
 
@@ -212,7 +234,7 @@ def test_every_chunk_runs_once_under_fast_thread_switching():
         for threads in (4, 7):
             tracker = Tracker()
             got = run_bounded(
-                lambda: ordered_chunk_map(tracker.wrap(lambda i, lo, hi: lo), chunk_ranges(2000, 1), threads)
+                lambda: ordered_chunk_map(tracker.wrap(lambda i, lo, hi: lo), range(0, 2000, 1), threads)
             )
             assert got == sum(range(2000))
             assert sorted(tracker.started) == list(range(2000))

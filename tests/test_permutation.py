@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -27,14 +28,17 @@ from shapval import (
     required_permutations,
 )
 from shapval.errors import ConfigError
-from shapval.parallel import chunk_ranges, ordered_chunk_map, resolve_threads
+from shapval.parallel import ordered_chunk_map, resolve_threads
 from shapval.permutation import ORDERING_CHUNK, marginal_chunk, sample_orderings
+
+from conftest import chunks
 
 
 def sampled_marginals(game, t, seed):
     """(T, N) marginals of the orderings ``estimate_permutation`` draws."""
-    chunks = enumerate(chunk_ranges(t, ORDERING_CHUNK))
-    return np.concatenate([marginal_chunk(game, seed, "perm", i, hi - lo) for i, (lo, hi) in chunks])
+    return np.concatenate(
+        [marginal_chunk(game, seed, "perm", i, hi - lo) for i, lo, hi in chunks(t, ORDERING_CHUNK)]
+    )
 
 
 class TestRequiredPermutations:
@@ -94,6 +98,24 @@ def test_accuracy_arguments_are_checked(sizer, bad):
         size(1.0, 0.5, bad)
 
 
+BUDGET_NAMES = {
+    "required_permutations": "permutation",
+    "required_tests": "group-test",
+    "optimize_split_constants": "baseline-route",
+    "required_t_compressive": "compressive ordering",
+}
+
+
+@pytest.mark.parametrize("r, eps", [(1e308, 0.5), (1.0, 1e-300)])
+@pytest.mark.parametrize("sizer", list(BUDGET_NAMES))
+def test_a_bound_that_is_not_finite_is_refused(sizer, r, eps):
+    # r^2 overflows, or eps^2 underflows to a zero divisor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        with pytest.raises(ValueError, match=f"the {BUDGET_NAMES[sizer]} budget is not a finite number"):
+            SIZERS[sizer](r, eps, 0.1)
+
+
 class TestEstimate:
     def test_additive_is_exact_with_one_permutation(self):
         g = make_additive_game((1.0, 2.0, 3.0))
@@ -104,10 +126,14 @@ class TestEstimate:
     def test_zero_permutations_rejected(self):
         with pytest.raises(ValueError):
             PermutationBudget(0)
-        for count in (2.5, 3.0, True, "4"):
+        # a count of 2^63 or more has no range length, also one sized from (eps, delta)
+        for count in (2.5, 3.0, True, "4", 1 << 63):
             with pytest.raises(ValueError, match="t_permutations"):
                 PermutationBudget(count)
+        with pytest.raises(ValueError, match="t_permutations must be a positive integer below 2\\^63"):
+            PermutationBudget.from_accuracy(1e150, 10, 0.5, 0.1)
         assert PermutationBudget(np.int64(3)).t_permutations == 3
+        assert PermutationBudget((1 << 63) - 1).t_permutations == (1 << 63) - 1
 
     def test_accuracy_labels_are_optional(self):
         assert PermutationBudget(10, epsilon=0.5).delta is None
@@ -259,7 +285,7 @@ class TestChunkTotals:
         game = identity_games[name]
         expected = ordered_chunk_map(
             lambda i, lo, hi: marginal_chunk(game, 21, "perm", i, hi - lo).sum(axis=0),
-            chunk_ranges(t, ORDERING_CHUNK),
+            range(0, t, ORDERING_CHUNK),
             threads,
         ) / t
         got = estimate_permutation(game, PermutationBudget(t), seed=21, threads=threads).values
@@ -337,9 +363,8 @@ class TestOrderingSampler:
         # 47 chunks at N=4; the bound is the chi-square quantile at a 1e-6
         # false-alarm rate, fixed before any draw was looked at
         n, t = 4, 12_000
-        chunks = enumerate(chunk_ranges(t, ORDERING_CHUNK))
         perms = np.concatenate(
-            [sample_orderings(17, "perm", i, hi - lo, n) for i, (lo, hi) in chunks]
+            [sample_orderings(17, "perm", i, hi - lo, n) for i, lo, hi in chunks(t, ORDERING_CHUNK)]
         )
         assert perms.shape == (t, n)
         assert np.all(np.sort(perms, axis=1) == np.arange(n))

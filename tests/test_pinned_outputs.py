@@ -45,9 +45,8 @@ from shapval.group_testing import (
     required_tests,
     run_tests,
 )
-from shapval.parallel import chunk_ranges
 
-from conftest import drawn_tests
+from conftest import chunks, drawn_tests
 from shapval.knn import KnnInstance, knn_game
 
 
@@ -184,8 +183,7 @@ def test_group_testing_below_63_players(n, drawn_sha, potentials_sha):
     # depends on N, so the membership bytes are pinned at several N
     game = make_additive_game(np.random.default_rng(2500 + n).uniform(0.0, 1.0, n))
     plan = GroupTestPlan(n)
-    ranges = chunk_ranges(5_000, _TEST_CHUNK)
-    member = np.concatenate([_draw_tests(plan, 25, i, hi - lo) for i, (lo, hi) in enumerate(ranges)])
+    member = np.concatenate([_draw_tests(plan, 25, i, hi - lo) for i, lo, hi in chunks(5_000, _TEST_CHUNK)])
     assert hashlib.sha256(member.tobytes()).hexdigest() == drawn_sha
     assert digest(run_tests(game, 5_000, 25)) == potentials_sha
 
