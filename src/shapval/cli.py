@@ -201,8 +201,8 @@ class ExperimentConfig:
             raise ConfigError(f"--delta must lie in (0, 1), got {self.delta!r}")
         for name in _COUNTS:
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{_FLAGS[name]} must be positive, got {value}")
+            if value is not None and not 0 < value < 1 << 63:
+                raise ConfigError(f"{_FLAGS[name]} must be positive and below 2^63, got {value}")
         resolve_threads(self.threads)  # the upper bound and SHAPVAL_THREADS, for every method
         if self.game_kind == "random" and self.players > RANDOM_GAME_PLAYERS:
             raise ConfigError(
@@ -213,7 +213,7 @@ class ExperimentConfig:
 
 _OPTIONS = tuple(f for f in fields(ExperimentConfig) if f.metadata)
 _FLAGS = {f.name: "--" + f.metadata["key"].replace("_", "-") for f in _OPTIONS}
-# count options, each at least 1 when given
+# count options, each in [1, 2^63) when given, as parallel.check_count takes them
 _COUNTS = ("players", "k", "permutations", "tests", "measurements", "threads")
 
 
@@ -294,9 +294,10 @@ def _estimator_values(config: ExperimentConfig, game: Game) -> ValueVector:
         else:
             if config.epsilon is None or config.delta is None:
                 raise ConfigError("perm needs --permutations or --epsilon/--delta")
-            budget = permutation.PermutationBudget.from_accuracy(
-                game.range_r, game.n_players, config.epsilon, config.delta
-            )
+            with _refusal_is_config_error():  # a sized budget that is not a finite count
+                budget = permutation.PermutationBudget.from_accuracy(
+                    game.range_r, game.n_players, config.epsilon, config.delta
+                )
         return permutation.estimate_permutation(game, budget, config.seed, threads=config.threads)
     if method == "group-test":
         from . import group_testing
@@ -325,9 +326,10 @@ def _estimator_values(config: ExperimentConfig, game: Game) -> ValueVector:
         else:
             if config.delta is None:
                 raise ConfigError("compressive needs --permutations or --delta")
-            t = compressive.required_t_compressive(
-                game.range_r, config.epsilon, config.delta, config.measurements
-            )
+            with _refusal_is_config_error():
+                t = compressive.required_t_compressive(
+                    game.range_r, config.epsilon, config.delta, config.measurements
+                )
         return compressive.estimate_compressive(
             game, config.measurements, t, config.epsilon, config.seed, threads=config.threads
         )
@@ -391,10 +393,12 @@ def sweep_budgets(config: ExperimentConfig, budget_list) -> list[ResultRecord]:
     method = config.sweep_method or config.method
     if method == "sweep":
         raise UnknownMethodError(f"sweep needs a concrete method, got {method!r}")
+    # every budget is checked before the first one runs
+    bad = [budget for budget in budget_list if not 0 < budget < 1 << 63]
+    if bad:
+        raise ConfigError(f"budgets must be positive and below 2^63, got {bad[0]}")
     records = []
     for budget in budget_list:
-        if budget < 1:
-            raise ConfigError("budgets must be positive")
         override: dict = {"method": method, "budgets": (), "sweep_method": None}
         if method in ("perm", "compressive"):
             override["permutations"] = int(budget)

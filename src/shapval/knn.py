@@ -75,8 +75,11 @@ _METRICS = ("euclidean", "manhattan")
 # split never changes a value.
 _BLOCK_ROWS = 512
 # Arrival times (training points x orderings x test points) per prefix block:
-# its largest temporary, the int32 exit indices, stays about 0.5 MB.
+# its largest temporary, the intp exit indices, stays about 1 MB.
 _BLOCK_CELLS = 1 << 17
+# Cells (test points x orderings) from which a prefix block's hit counts are
+# added one time row at a time; below it one cumsum costs less than N calls.
+_ROW_CELLS = 256
 # Distinct test labels whose label-match rows knn_shapley_testset keeps.
 _LABEL_ROWS = 64
 
@@ -198,17 +201,23 @@ def _match_fraction(instance: KnnInstance, member: np.ndarray) -> np.ndarray:
     return np.count_nonzero(hit, axis=1) / instance.k_neighbors
 
 
-def _running_min(x: np.ndarray) -> np.ndarray:
-    """Running minimum along axis 0, in place, in log2(len) whole-array steps.
+def _running_min(x: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running minimum of ``x`` along axis 0 in log2(len) whole-array steps.
 
-    ``np.minimum.accumulate`` steps along the axis one element at a time,
-    which measured several times slower on these short axes.
+    Each step reads one of the two equal-shaped buffers and writes the
+    other, so numpy copies no overlapping input (in place, the running
+    minimum measured 1.2-1.8x slower).  Returns (the result, the other
+    buffer); both buffers are overwritten.  ``np.minimum.accumulate`` steps along the
+    axis one element at a time, which measured several times slower on
+    these short axes.
     """
     step = 1
     while step < x.shape[0]:
-        np.minimum(x[step:], x[:-step], out=x[step:])
+        np.minimum(x[step:], x[:-step], out=spare[step:])
+        spare[:step] = x[:step]
+        x, spare = spare, x
         step *= 2
-    return x
+    return x, spare
 
 
 def _prefix_hits(
@@ -228,6 +237,11 @@ def _prefix_hits(
     matching arrival, gathered from ``gains`` by player, and falls at a
     matching point's exit, written by assignment into an int8 array; the
     sum along time is taken in the smallest signed type that holds +K.
+    The sum adds whole time rows, one call per row: ``cumsum`` along
+    time walks each cell down its strided column, which measured 1.8x
+    slower at 40 x 1000 cells and 3-6x at 10^4 x 256.  Below _ROW_CELLS
+    cells the N calls cost more, and one ``cumsum`` is taken.  Every
+    partial count lies in [0, K], so both give the same exact integers.
     Assignment loses no exit, because no two points of a cell exit at the
     same time below N.  An exit below N happens at the arrival of some
     point p, and each arrival is the exit of at most one point:
@@ -239,31 +253,36 @@ def _prefix_hits(
     """
     n = arrive.shape[0]
     # after pass p, kth[j] is the p-th smallest arrival among points 0..j:
-    # the smaller of the one for 0..j-1 and max(the (p-1)-th for 0..j-1, A_j)
-    kth = _running_min(arrive.copy())
-    closer = np.empty_like(arrive)
-    closer[0] = n
+    # the smaller of the one for 0..j-1 and max(the (p-1)-th for 0..j-1, A_j);
+    # for point 0 that is the sentinel N, since no point is closer
+    kth, spare = _running_min(arrive.copy(), np.empty_like(arrive))
     for _ in range(k - 1):
-        closer[1:] = kth[:-1]
-        _running_min(np.maximum(closer, arrive, out=kth))
-    closer[1:] = kth[:-1]
+        spare[0] = n
+        np.maximum(kth[:-1], arrive[1:], out=spare[1:])
+        kth, spare = _running_min(spare, kth)
     # a point whose K-th closer arrival precedes its own leaves as it arrives
-    leave = np.maximum(closer, arrive, out=closer)
+    leave = spare
+    leave[0] = n
+    np.maximum(kth[:-1], arrive[1:], out=leave[1:])
     np.copyto(leave, n, where=miss[:, :, None])
     cells = arrive[0].size
-    times = (n + 1) * cells
-    index = np.int32 if times < 1 << 31 else np.int64
-    flat = leave.astype(index)
-    flat *= cells
-    flat += np.arange(cells, dtype=index).reshape(arrive.shape[1:])
-    gone = np.zeros(times, dtype=np.int8)
+    # numpy scatters at intp indices; narrower ones it would convert first
+    flat = np.multiply(leave, cells, dtype=np.intp)
+    flat += np.arange(cells, dtype=np.intp).reshape(arrive.shape[1:])
+    gone = np.zeros((n + 1) * cells, dtype=np.int8)
     gone[flat.ravel()] = 1
     events = gone[: n * cells].reshape(arrive.shape)
     # gained[t, b, r]: the label match of the point at position t of ordering r
     gained = gains[:, perms.T].transpose(1, 0, 2)
     np.subtract(gained, events, out=events)
     # a signed type that holds -K - 1 also holds +K, which the count reaches
-    return np.cumsum(events, axis=0, dtype=np.min_scalar_type(-k - 1))
+    count = np.min_scalar_type(-k - 1)
+    if cells < _ROW_CELLS:
+        return np.cumsum(events, axis=0, dtype=count)
+    hits = events.astype(count, copy=False)
+    for prev, cur in zip(hits, hits[1:]):
+        np.add(prev, cur, out=cur)
+    return hits
 
 
 def knn_game(instances: KnnInstance | Sequence[KnnInstance]) -> Game:
@@ -312,9 +331,11 @@ def knn_game(instances: KnnInstance | Sequence[KnnInstance]) -> Game:
         for lo in range(0, len(seq), step):
             block = slice(lo, lo + step)
             hits = _prefix_hits(perms, arrival[orders[:, block]], misses[:, block], gains[block], k)
-            frac = hits / k
-            for b in range(frac.shape[1]):
-                out += frac[:, b]
+            # test point first, so that each test point's fractions are one contiguous block
+            frac = np.empty((hits.shape[1], n, rows))
+            np.divide(hits.transpose(1, 0, 2), k, out=frac)
+            for part in frac:
+                out += part
         return out.T / len(seq)
 
     return Game(n, batch, range_r=1.0, monotone=False, name="knn", prefix_utility=prefixes)

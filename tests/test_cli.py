@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from shapval import cli
 from shapval.cli import (
     EXIT_BAD_CONFIG,
     EXIT_FAILURE,
@@ -606,9 +607,53 @@ class TestRejectedInputs:
 
     def test_sized_budget_that_overflows_is_a_one_line_error(self, capsys):
         argv = ["perm", "--game", "symmetric", "--players", "3", "--size-values", "0,1,1,1e308"]
-        assert main([*argv, "--epsilon", "0.1", "--delta", "0.1"]) == EXIT_FAILURE
+        assert main([*argv, "--epsilon", "0.1", "--delta", "0.1"]) == EXIT_BAD_CONFIG
         err = one_line_error(capsys)
         assert "permutation budget is not a finite number" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["perm", "--permutations", "9223372036854775808"], id="perm-2^63"),
+            pytest.param(["perm", "--permutations", "99999999999999999999"], id="perm-count"),
+            pytest.param(["perm", "--epsilon", "1e-200", "--delta", "0.1"], id="perm-sized"),
+            pytest.param(
+                ["compressive", "--epsilon", "0.5", "--measurements", "2",
+                 "--permutations", "99999999999999999999"],
+                id="compressive-count",
+            ),
+            pytest.param(
+                ["compressive", "--epsilon", "1e-200", "--delta", "0.1", "--measurements", "2"],
+                id="compressive-sized",
+            ),
+            pytest.param(
+                ["sweep", "--method", "perm", "--budgets", "3,99999999999999999999"],
+                id="sweep-perm",
+            ),
+            pytest.param(
+                ["sweep", "--method", "group-test", "--epsilon", "0.5", "--delta", "0.2",
+                 "--budgets", "3,9223372036854775808"],
+                id="sweep-group-test",
+            ),
+            pytest.param(
+                ["group-test", "--epsilon", "0.5", "--delta", "0.2",
+                 "--tests", "99999999999999999999"],
+                id="group-test-count",
+            ),
+            pytest.param(["group-test", "--epsilon", "1e-200", "--delta", "0.1"], id="group-test-sized"),
+        ],
+    )
+    def test_refused_budget_is_a_config_error(self, argv, monkeypatch, capsys):
+        # a count of 2^63 or more, or a sized budget that is no finite count, exits 4 on
+        # every sampling command; a sweep refuses before its first budget runs
+        def ran(config):
+            raise AssertionError("a budget ran")
+
+        if argv[0] == "sweep":
+            monkeypatch.setattr(cli, "run_experiment", ran)
+        assert main([*argv, "--game", "glove"]) == EXIT_BAD_CONFIG
+        err = one_line_error(capsys)
+        assert "2^63" in err or "not a finite number" in err
 
     @pytest.mark.parametrize("command", METHODS)
     def test_epsilon_and_delta_out_of_range(self, command, tmp_path, capsys):

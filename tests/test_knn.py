@@ -439,9 +439,8 @@ class TestPrefixHits:
     """``_prefix_hits`` against counting, beyond 63 players and across the uint8 arrival type."""
 
     @staticmethod
-    def check(n, k, p_match):
+    def check(n, k, p_match, n_test=3, rows=4):
         g = np.random.default_rng([n, k])
-        n_test, rows = 3, 4
         perms = np.argsort(g.random((rows, n)), axis=1)
         orders = np.argsort(g.random((n, n_test)), axis=0)
         gains = (g.random((n_test, n)) < p_match).astype(np.int8)
@@ -453,6 +452,7 @@ class TestPrefixHits:
         hits = knn_module._prefix_hits(perms, arrival[orders], miss, gains, k)
         expected, exits = brute_prefix_hits(perms, orders, gains, k)
         assert hits.shape == (n, n_test, rows)
+        assert hits.dtype == np.min_scalar_type(-k - 1)
         assert np.array_equal(hits, expected)
         return exits
 
@@ -469,6 +469,26 @@ class TestPrefixHits:
     def test_counts_reach_k_when_every_point_matches(self, k):
         # hit counts reach +K, past int8 at K = 128
         self.check(256, k, 1.0)
+
+    @pytest.mark.parametrize(
+        "n, k, n_test, rows", [(40, 5, 1, 1), (300, 150, 1, 1), (3, 1, 20, 50), (3, 2, 20, 50), (40, 5, 20, 50)]
+    )
+    def test_block_shapes_match_brute_force(self, n, k, n_test, rows):
+        # one cell is summed by one cumsum; cells far above N are summed row by row
+        assert (n_test * rows < knn_module._ROW_CELLS) == (rows == 1)
+        self.check(n, k, 0.6, n_test, rows)
+
+    @pytest.mark.parametrize("n, k", PREFIX_HIT_N_K)
+    def test_row_by_row_sum_matches_brute_force(self, n, k, monkeypatch):
+        monkeypatch.setattr(knn_module, "_ROW_CELLS", 1)
+        self.check(n, k, 0.6)
+
+    @pytest.mark.parametrize("row_cells", [1, 1 << 30], ids=["rows", "cumsum"])
+    @pytest.mark.parametrize("k", [5, 128])
+    def test_counts_take_the_smallest_type_that_holds_minus_k_minus_1(self, k, row_cells, monkeypatch):
+        # check asserts the dtype: int8 at K = 5, int16 at K = 128, in both sums
+        monkeypatch.setattr(knn_module, "_ROW_CELLS", row_cells)
+        self.check(256, k, 0.6)
 
 
 class TestPrefixForm:
