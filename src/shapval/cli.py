@@ -393,11 +393,8 @@ def sweep_budgets(config: ExperimentConfig, budget_list) -> list[ResultRecord]:
     method = config.sweep_method or config.method
     if method == "sweep":
         raise UnknownMethodError(f"sweep needs a concrete method, got {method!r}")
-    # every budget is checked before the first one runs
-    bad = [budget for budget in budget_list if not 0 < budget < 1 << 63]
-    if bad:
-        raise ConfigError(f"budgets must be positive and below 2^63, got {bad[0]}")
-    records = []
+    # every budget's config is built, and so checked, before the first one runs
+    configs = []
     for budget in budget_list:
         override: dict = {"method": method, "budgets": (), "sweep_method": None}
         if method in ("perm", "compressive"):
@@ -406,8 +403,8 @@ def sweep_budgets(config: ExperimentConfig, budget_list) -> list[ResultRecord]:
             override["tests"] = int(budget)
         else:
             raise ConfigError(f"method {method!r} takes no sampling budget")
-        records.append(run_experiment(replace(config, **override)))
-    return records
+        configs.append(replace(config, **override))
+    return [run_experiment(c) for c in configs]
 
 
 # -- configuration plumbing -------------------------------------------------

@@ -77,9 +77,6 @@ _BLOCK_ROWS = 512
 # Arrival times (training points x orderings x test points) per prefix block:
 # its largest temporary, the intp exit indices, stays about 1 MB.
 _BLOCK_CELLS = 1 << 17
-# Cells (test points x orderings) from which a prefix block's hit counts are
-# added one time row at a time; below it one cumsum costs less than N calls.
-_ROW_CELLS = 256
 # Distinct test labels whose label-match rows knn_shapley_testset keeps.
 _LABEL_ROWS = 64
 
@@ -239,9 +236,8 @@ def _prefix_hits(
     sum along time is taken in the smallest signed type that holds +K.
     The sum adds whole time rows, one call per row: ``cumsum`` along
     time walks each cell down its strided column, which measured 1.8x
-    slower at 40 x 1000 cells and 3-6x at 10^4 x 256.  Below _ROW_CELLS
-    cells the N calls cost more, and one ``cumsum`` is taken.  Every
-    partial count lies in [0, K], so both give the same exact integers.
+    slower at 40 x 1000 cells and 3-6x at 10^4 x 256.  Every partial
+    count lies in [0, K], so the row adds give cumsum's exact integers.
     Assignment loses no exit, because no two points of a cell exit at the
     same time below N.  An exit below N happens at the arrival of some
     point p, and each arrival is the exit of at most one point:
@@ -276,10 +272,7 @@ def _prefix_hits(
     gained = gains[:, perms.T].transpose(1, 0, 2)
     np.subtract(gained, events, out=events)
     # a signed type that holds -K - 1 also holds +K, which the count reaches
-    count = np.min_scalar_type(-k - 1)
-    if cells < _ROW_CELLS:
-        return np.cumsum(events, axis=0, dtype=count)
-    hits = events.astype(count, copy=False)
+    hits = events.astype(np.min_scalar_type(-k - 1), copy=False)
     for prev, cur in zip(hits, hits[1:]):
         np.add(prev, cur, out=cur)
     return hits

@@ -474,21 +474,8 @@ class TestPrefixHits:
         "n, k, n_test, rows", [(40, 5, 1, 1), (300, 150, 1, 1), (3, 1, 20, 50), (3, 2, 20, 50), (40, 5, 20, 50)]
     )
     def test_block_shapes_match_brute_force(self, n, k, n_test, rows):
-        # one cell is summed by one cumsum; cells far above N are summed row by row
-        assert (n_test * rows < knn_module._ROW_CELLS) == (rows == 1)
+        # one cell, and cells (test points x orderings) far above N
         self.check(n, k, 0.6, n_test, rows)
-
-    @pytest.mark.parametrize("n, k", PREFIX_HIT_N_K)
-    def test_row_by_row_sum_matches_brute_force(self, n, k, monkeypatch):
-        monkeypatch.setattr(knn_module, "_ROW_CELLS", 1)
-        self.check(n, k, 0.6)
-
-    @pytest.mark.parametrize("row_cells", [1, 1 << 30], ids=["rows", "cumsum"])
-    @pytest.mark.parametrize("k", [5, 128])
-    def test_counts_take_the_smallest_type_that_holds_minus_k_minus_1(self, k, row_cells, monkeypatch):
-        # check asserts the dtype: int8 at K = 5, int16 at K = 128, in both sums
-        monkeypatch.setattr(knn_module, "_ROW_CELLS", row_cells)
-        self.check(256, k, 0.6)
 
 
 class TestPrefixForm:
