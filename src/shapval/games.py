@@ -2,10 +2,12 @@
 
 A game is a set of N players (data points) together with a bounded
 utility function over player subsets, given as int64 bit masks; a game
-may also score every prefix of a block of player orderings at once.  This
-module provides the game abstraction, exact Shapley oracles (subset form
-and permutation form), exact pairwise value differences, and the
-synthetic games used as ground truth by the estimators' tests.
+may also score every prefix of a block of player orderings at once, and
+the member-weight-sum games score a sampler's 0/1 membership block without
+packing it to masks.  This module provides the game abstraction, exact
+Shapley oracles (subset form and permutation form), exact pairwise value
+differences, and the synthetic games used as ground truth by the
+estimators' tests.
 """
 
 from __future__ import annotations
@@ -99,6 +101,14 @@ class Game:
     layout it returns, since the samplers' sums over orderings are only
     bit-identical on a C-ordered block.
 
+    The additive and voting factories also hand the game a private member
+    form, the same utility of a 0/1 (rows, N) membership block, bool or
+    float64, so that the pooled tests score the block they draw without
+    building a mask; any other game packs such a block to masks.  Only
+    :meth:`values_of_masks`, the public entry, checks its coalitions: the
+    samplers' own masks and blocks are built in range.  Every entry checks,
+    offsets and bills the utilities.
+
     The built-in utilities give a mask the same bits in any batch, which
     a test checks.  They score a batch in fixed row blocks (``_in_blocks``),
     so a whole-table batch from an exact oracle holds one block's
@@ -118,6 +128,7 @@ class Game:
         exact_values: np.ndarray | None = None,
         name: str = "",
         prefix_utility: Callable[[np.ndarray], np.ndarray] | None = None,
+        _member_utility: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
         if n_players < 1:
             raise ValueError("need at least one player")
@@ -142,6 +153,7 @@ class Game:
         self.exact_values = exact_values
         self._utility = utility
         self._prefix_utility = prefix_utility
+        self._member_utility = _member_utility
         self._lock = threading.Lock()
         self._eval_count = 0
         self._range_tol = 1e-9 * max(1.0, self.range_r)
@@ -203,6 +215,12 @@ class Game:
             raise ShapvalError(
                 f"coalition masks must be a 1-D integer array of values in [0, 2^{self.n_players})"
             )
+        return self._values_of_sampled_masks(masks)
+
+    def _values_of_sampled_masks(self, masks: np.ndarray) -> np.ndarray:
+        """:meth:`values_of_masks` of a 1-D int64 array of masks in [0, 2^N)
+        that a sampler built, without the checks on the masks: empty masks are
+        free and worth 0, and the other utilities are checked and billed."""
         count = np.count_nonzero(masks)
         if count == 0:
             return np.zeros(masks.shape[0], dtype=np.float64)
@@ -222,19 +240,35 @@ class Game:
         ``perms`` is an (R, N) block of orderings, each row a permutation of
         range(N); the samplers draw them, so they are not checked.  An empty
         block costs nothing, as an empty mask array does.  Without a
-        prefix utility every prefix goes through :meth:`values_of_masks` as an
-        int64 mask.  Either way R * N evaluations are billed and the result is
-        C-ordered: the marginals inherit this layout, and summing an F-ordered
-        block over its orderings adds pairwise instead of in row order, which
-        moves the last bits of the estimate.
+        prefix utility every prefix is scored as an int64 mask, as
+        :meth:`values_of_masks` scores it.  Either way R * N evaluations are
+        billed and the result is C-ordered: the marginals inherit this layout,
+        and summing an F-ordered block over its orderings adds pairwise instead
+        of in row order, which moves the last bits of the estimate.
         """
         if perms.size == 0:
             return np.zeros(perms.shape, dtype=np.float64)
         if self._prefix_utility is None:
             prefixes = np.cumsum(1 << perms, axis=1)
-            return self.values_of_masks(prefixes.reshape(-1)).reshape(prefixes.shape)
+            return self._values_of_sampled_masks(prefixes.reshape(-1)).reshape(prefixes.shape)
         vals = self._real(self._prefix_utility(perms), perms.shape, "prefix")
         vals = np.ascontiguousarray(vals) - self._offset
+        self._check_and_bill(vals)
+        return vals
+
+    def _values_of_members(self, block: np.ndarray) -> np.ndarray:
+        """Utilities of the rows of a float64 0/1 (rows, N) membership block.
+
+        A sampler draws the block, each row with 1..N-1 members, so it is
+        not checked and no row is empty.  A game with a member form scores
+        the block as it is; any other packs it to int64 masks for its mask
+        form.  Either way the values get the checks, the offset and the
+        billing of :meth:`values_of_masks`.
+        """
+        if self._member_utility is None:
+            return self._values_of_sampled_masks(_masks(block))
+        vals = self._real(self._member_utility(block), block.shape[:1], "coalition")
+        vals = vals - self._offset
         self._check_and_bill(vals)
         return vals
 
@@ -343,8 +377,8 @@ def exact_shapley_difference(
 
 
 # Rows per block of the member-weight sums.  A block's (rows, N) membership
-# is cast to float64 for the product, 2 MB at N = 63; at large N the rows
-# per block must shrink to keep that bounded.  Any size gives the same bits
+# is float64 in the product, 2 MB at N = 63; at large N the rows per block
+# must shrink to keep that bounded.  Any size gives the same bits
 # (see _weight_sums).  The size does not show in time: on one thread,
 # run_tests(2e4) at N = 63 took 7.4-7.6 ms at 512, 1024 and 4096 rows.
 _WEIGHT_ROWS = 4096
@@ -371,27 +405,34 @@ def _in_blocks(
     return out
 
 
-def _weight_sums(masks: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sum of the member weights ``w`` of each mask, in _WEIGHT_ROWS blocks.
+def _weight_sums(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum of the member weights ``w`` of each row, in _WEIGHT_ROWS blocks.
 
-    A mask's sum has the same bits in any batch and any block.  OpenBLAS
-    0.3.31's dgemv sums rows in groups of 4 counted from the start of each
-    call and may round the rows left over otherwise, and numpy takes a
-    one-row product through dot, which rounds unlike gemv.  So each block
-    is scored with zero masks, which sum to 0, padded up to a multiple of 4
-    rows, and only its own rows are kept.
+    ``rows`` is a 0/1 (rows, N) membership block, bool or float64, or a 1-D
+    array of bit masks, which is unpacked one block at a time, so that a
+    whole-table batch never holds a (2^N, N) membership.  A coalition's sum
+    has the same bits in any form, batch and block.  OpenBLAS 0.3.31's dgemv
+    sums rows in groups of 4 counted from the start of each call and may
+    round the rows left over otherwise, and numpy takes a one-row product
+    through dot, which rounds unlike gemv.  So each block is scored with
+    empty rows, which sum to 0, padded up to a multiple of 4 rows, and only
+    its own rows are kept.
     """
 
     def score(block: np.ndarray, out: np.ndarray) -> None:
-        padded = np.concatenate((block, np.zeros(-block.size % 4, dtype=np.int64)))
-        out[:] = np.matmul(_membership(padded, w.size), w)[: block.size]
+        member = _membership(block, w.size) if block.ndim == 1 else block
+        if out.size % 4:
+            empty = np.zeros((-out.size % 4, w.size), dtype=member.dtype)
+            member = np.concatenate((member, empty))
+        out[:] = np.matmul(member, w)[: out.size]
 
-    return _in_blocks(masks, _WEIGHT_ROWS, score)
+    return _in_blocks(rows, _WEIGHT_ROWS, score)
 
 
 def _masks(member: np.ndarray) -> np.ndarray:
-    """int64 bit masks of a boolean (rows, n) membership matrix, n <= 63,
-    packed flat from a zeroed (rows, 64) copy: ~4x faster than by axis."""
+    """int64 bit masks of a 0/1 (rows, n) membership matrix, bool or float64,
+    n <= 63, packed flat from a zeroed boolean (rows, 64) copy: ~4x faster
+    than by axis."""
     padded = np.zeros((member.shape[0], 64), dtype=bool)
     padded[:, : member.shape[1]] = member
     return np.packbits(padded, bitorder="little").view("<i8")
@@ -414,18 +455,24 @@ def _weight_vector(weights: Sequence[float]) -> tuple[np.ndarray, float]:
 def make_additive_game(weights: Sequence[float]) -> Game:
     """U(S) = sum of member weights; the Shapley value is the weight vector.
 
-    A mask's sum has the same bits in any batch, which a test checks.
+    A coalition's sum has the same bits in any batch and in either form,
+    masks or a membership block, which tests check.
     """
     w, total = _weight_vector(weights)
     if total <= 0:
         raise ValueError("at least one weight must be positive")
+
+    def batch(rows: np.ndarray) -> np.ndarray:
+        return _weight_sums(rows, w)
+
     return Game(
         w.size,
-        lambda masks: _weight_sums(masks, w),
+        batch,
         range_r=total,
         monotone=True,
         exact_values=w,
         name="additive",
+        _member_utility=batch,
     )
 
 
@@ -490,8 +537,8 @@ def make_voting_game(weights: Sequence[float], quota: float) -> Game:
     if not 0 < quota <= total:  # false for a NaN quota, and total is finite
         raise ValueError("quota must be finite, positive and attainable")
 
-    def batch(masks: np.ndarray) -> np.ndarray:
-        sums = _weight_sums(masks, w)
+    def batch(rows: np.ndarray) -> np.ndarray:
+        sums = _weight_sums(rows, w)
         return np.greater_equal(sums, quota, out=sums)  # 1.0 where it reaches
 
     return Game(
@@ -500,6 +547,7 @@ def make_voting_game(weights: Sequence[float], quota: float) -> Game:
         range_r=1.0,
         monotone=True,
         name="voting",
+        _member_utility=batch,
     )
 
 

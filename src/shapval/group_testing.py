@@ -11,7 +11,10 @@ one directly-estimated baseline player.  The sampler is fixed by N, so
 a run builds its own plan from the game.  Tests are streamed: a run
 returns only the N potentials, and no coalition outlives its chunk.
 A chunk reads its sizes from a bucketed CDF and orders its rows by radix
-sort, with the values of ``Generator.choice`` and an int64 sort.
+sort, with the values of ``Generator.choice`` and an int64 sort.  It casts
+the membership it draws to float64 once: the game scores that block,
+without building a mask where it has a member form, and the block's
+transpose weights the utilities.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .games import Game, ValueVector, _masks
+from .games import Game, ValueVector
 from .parallel import check_count, ordered_chunk_map, resolve_threads
 from .permutation import ORDERING_CHUNK, _budget, _check_accuracy, sample_orderings
 from .rng import stream
@@ -41,9 +44,16 @@ _TEST_CHUNK = 4096  # pooled tests per random stream
 
 
 def bennett_h(u):
-    """h(u) = (1 + u) ln(1 + u) - u, the rate function in Bennett's bound."""
+    """h(u) = (1 + u) ln(1 + u) - u, the rate function in Bennett's bound.
+
+    Below u = 1e-6 the closed form cancels to a few bits, and to 0 at
+    u = 1e-16, so h is its series u^2/2 - u^3/6 + u^4/12 there, whose
+    first omitted term is below 1e-19 of h.
+    """
     u = np.asarray(u, dtype=np.float64)
-    out = (1.0 + u) * np.log1p(u) - u
+    v = np.minimum(u, 1e-6)  # the series' argument, so that it cannot overflow
+    series = v * v * (0.5 - v * (1.0 / 6.0 - v / 12.0))
+    out = np.where(u < 1e-6, series, (1.0 + u) * np.log1p(u) - u)
     return float(out) if out.ndim == 0 else out
 
 
@@ -154,13 +164,14 @@ def _uniform_subsets(g: np.random.Generator, ks: np.ndarray, n: int) -> np.ndarr
     order = np.argsort((n // 2 - small).astype(np.min_scalar_type(n)), kind="stable")
     active = count - np.cumsum(np.bincount(small))
     slots = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), count)
+    grid = slots.reshape(count, n)  # slot j of row t is grid[t, j]
     row = np.arange(count) * n
     spot = order * n  # where each visited row's membership lives
     member = np.zeros(count * n, dtype=bool)
     for j, a in enumerate(active[: small.max()].tolist()):
         pick = row[:a] + g.integers(j, n, size=a)
         drawn = slots[pick]
-        slots[pick] = slots[row[:a] + j]
+        slots[pick] = grid[:a, j]
         member[spot[:a] + drawn] = True
     member = member.reshape(count, n)
     np.logical_xor(member, (ks > n - ks)[:, None], out=member)
@@ -179,10 +190,13 @@ def _draw_tests(plan: GroupTestPlan, seed: int, chunk_index: int, count: int) ->
 def _test_chunk(
     game: Game, plan: GroupTestPlan, seed: int, chunk_index: int, lo: int, hi: int
 ) -> np.ndarray:
-    """Per-player sums sum_t u_t beta_ti over tests lo..hi-1."""
-    member = _draw_tests(plan, seed, chunk_index, hi - lo)
-    utils = game.values_of_masks(_masks(member))
-    return member.T.astype(np.float64) @ utils
+    """Per-player sums sum_t u_t beta_ti over tests lo..hi-1.
+
+    The drawn membership is cast to float64 once: the game scores that
+    block, and its transpose weights the utilities.
+    """
+    block = _draw_tests(plan, seed, chunk_index, hi - lo).astype(np.float64)
+    return block.T @ game._values_of_members(block)
 
 
 def run_tests(game: Game, t_tests: int, seed: int) -> np.ndarray:
@@ -312,7 +326,8 @@ def _baseline_player_value(
         pos = np.argmax(perms == 0, axis=1)
         with_mask = prefixes[np.arange(hi - lo), pos]
         before_mask = with_mask - 1  # player 0 carries bit value 1
-        gain = game.values_of_masks(with_mask) - game.values_of_masks(before_mask)
+        values = game._values_of_sampled_masks  # the masks are in range by construction
+        gain = values(with_mask) - values(before_mask)
         return np.array([gain.sum(), hi - lo + np.count_nonzero(before_mask)])
 
     gain, evals = ordered_chunk_map(chunk_sum, range(0, t_orderings, ORDERING_CHUNK), threads)

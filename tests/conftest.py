@@ -11,6 +11,7 @@ own label compare.
 ``drawn_tests`` redraws a group-test run's coalitions through the
 estimator's own draw, so the tests examine the tests it ran.  ``chunks``
 lists the chunks ``ordered_chunk_map`` runs over ``range(0, total, size)``.
+``built_in_game`` builds an N-player game of each built-in family.
 """
 
 import itertools
@@ -25,8 +26,17 @@ import pytest
 from scipy.optimize import linprog
 
 import shapval
-from shapval import Game
-from shapval.games import _masks
+from shapval import (
+    Game,
+    KnnInstance,
+    knn_game,
+    make_additive_game,
+    make_glove_game,
+    make_random_game,
+    make_symmetric_game,
+    make_voting_game,
+)
+from shapval.games import RANDOM_GAME_PLAYERS, _masks
 from shapval.group_testing import _TEST_CHUNK, _draw_tests
 
 
@@ -53,6 +63,29 @@ def drawn_tests(game, plan, t_tests, seed):
         masks.append(chunk)
         utils.append(game.values_of_masks(chunk))
     return np.concatenate(masks), np.concatenate(utils)
+
+
+def voting_half(weights):
+    return make_voting_game(weights, float(np.sum(weights)) / 2)
+
+
+def built_in_game(family, n):
+    """An n-player game of a built-in family, or None where it has none."""
+    rng = np.random.default_rng(n)
+    w = rng.uniform(0.0, 1.0, n)
+    if family == "additive":
+        return make_additive_game(w)
+    if family == "voting":
+        return voting_half(w)
+    if family == "symmetric":
+        return make_symmetric_game(n, np.r_[0.0, rng.uniform(0.0, 1.0, n)])
+    if family == "glove":
+        return make_glove_game() if n == 3 else None
+    if family == "random":
+        return make_random_game(n, n) if n <= RANDOM_GAME_PLAYERS else None
+    points, labels = rng.uniform(size=(n, 1)), rng.integers(0, 2, n)
+    k = max(1, n // 3)
+    return knn_game([KnnInstance(points, labels, rng.uniform(size=1), 1, k) for _ in range(2)])
 
 
 def brute_force_shapley(n, mask_utility):

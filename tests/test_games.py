@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from shapval import (
     Game,
-    KnnInstance,
     ShapvalError,
     SizeGuardError,
     UtilityRangeError,
@@ -17,7 +16,6 @@ from shapval import (
     exact_shapley_difference,
     exact_shapley_permutations,
     exact_shapley_subsets,
-    knn_game,
     make_additive_game,
     make_glove_game,
     make_random_game,
@@ -25,8 +23,8 @@ from shapval import (
     make_voting_game,
 )
 from shapval import games
-from shapval.games import RANDOM_GAME_PLAYERS, _in_blocks, _inverse_binomial, _masks, _membership
-from conftest import brute_force_shapley, glove_mask_utility, run_python
+from shapval.games import _in_blocks, _inverse_binomial, _masks, _membership
+from conftest import brute_force_shapley, built_in_game, glove_mask_utility, run_python, voting_half
 
 
 def sizes(masks):
@@ -316,10 +314,6 @@ class TestWeightChecks:
         assert game.range_r == 1e308 + 7e307
 
 
-def voting_half(weights):
-    return make_voting_game(weights, float(np.sum(weights)) / 2)
-
-
 class TestBlocks:
     @pytest.mark.parametrize(
         "count, sizes",
@@ -348,25 +342,6 @@ class TestBlocks:
             tracemalloc.stop()
         # one (2^N, N) float64 temporary alone would take this much
         assert peak < masks.size * n * 8
-
-
-def built_in_game(family, n):
-    """An n-player game of a built-in family, or None where it has none."""
-    rng = np.random.default_rng(n)
-    w = rng.uniform(0.0, 1.0, n)
-    if family == "additive":
-        return make_additive_game(w)
-    if family == "voting":
-        return voting_half(w)
-    if family == "symmetric":
-        return make_symmetric_game(n, np.r_[0.0, rng.uniform(0.0, 1.0, n)])
-    if family == "glove":
-        return make_glove_game() if n == 3 else None
-    if family == "random":
-        return make_random_game(n, n) if n <= RANDOM_GAME_PLAYERS else None
-    points, labels = rng.uniform(size=(n, 1)), rng.integers(0, 2, n)
-    k = max(1, n // 3)
-    return knn_game([KnnInstance(points, labels, rng.uniform(size=1), 1, k) for _ in range(2)])
 
 
 def batch_masks(n, count):
@@ -398,12 +373,17 @@ class TestBatchInvariance:
     @pytest.mark.parametrize("rows", [1, 3, 5, 64, 4096])
     @pytest.mark.parametrize("family", ["additive", "voting"])
     def test_any_weight_block_size_gives_the_same_bits(self, family, rows, monkeypatch):
+        # in either form: as masks, and as the float64 membership block a
+        # pooled-test chunk hands the game
         for n in range(2, 64):
             game, masks = built_in_game(family, n), batch_masks(n, 8200 if n == 63 else 130)
             one_call = game.values_of_masks(masks)
+            drawn = masks != 0  # a drawn block has no empty row
+            block = _membership(masks[drawn], n).astype(np.float64)
             with monkeypatch.context() as patch:
                 patch.setattr(games, "_WEIGHT_ROWS", rows)
                 assert game.values_of_masks(masks).tobytes() == one_call.tobytes(), n
+                assert game._values_of_members(block).tobytes() == one_call[drawn].tobytes(), n
 
     def test_blas_thread_count_changes_no_bits(self, monkeypatch):
         # OpenBLAS caps OPENBLAS_NUM_THREADS at the core count, but not a
@@ -411,7 +391,8 @@ class TestBatchInvariance:
         # reports the count its gemv calls run on.
         code = """if 1:
             import ctypes, glob, hashlib, os, sys, numpy as np
-            from shapval import make_additive_game, make_voting_game
+            from shapval import make_additive_game, make_voting_game, run_tests
+            from shapval.group_testing import _baseline_player_value
             libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "lib*openblas*"))
             blas = ctypes.CDLL(libs[0]) if libs else None
             for name in ("scipy_openblas_%s64_", "openblas_%s"):
@@ -423,13 +404,21 @@ class TestBatchInvariance:
                 print("threads unknown")
             w = np.random.default_rng(63).uniform(0.0, 1.0, 63)
             masks = np.random.default_rng(7).integers(1, 1 << 63, 12291, dtype=np.int64)
-            for game in (make_additive_game(w), make_voting_game(w, w.sum() / 2)):
+            sha = lambda vals: hashlib.sha256(np.asarray(vals, dtype=np.float64).tobytes()).hexdigest()
+            games = (make_additive_game(w), make_voting_game(w, w.sum() / 2))
+            for game in games:
                 # one call of 3 * 4096 + 3 masks, then batches that leave 1 to
                 # 3 rows over, and threaded gemv calls whose padded rows do not
                 # split into equal multiples of 4 across 2 or 3 threads
                 for size in (masks.size, 8192, 4099, 3777, 156, 155, 154, 153, 7):
                     vals = [game.values_of_masks(masks[lo : lo + size]) for lo in range(0, masks.size, size)]
-                    print(game.name, size, hashlib.sha256(np.concatenate(vals).tobytes()).hexdigest())
+                    print(game.name, size, sha(np.concatenate(vals)))
+            for game in games:
+                # the pooled tests score membership blocks: one 4096-test chunk
+                # and a 905-test tail; the baseline player scores masks in
+                # three chunks of orderings and a 233-ordering tail
+                print(game.name, "tests", sha(run_tests(game, 5001, 25)))
+                print(game.name, "baseline", sha(_baseline_player_value(game, 3 * 256 + 233, 25, 1)))
             """
         outputs = []
         for threads in ("1", "2", "3"):
@@ -443,9 +432,9 @@ class TestBatchInvariance:
             outputs.append(hashes)
         assert outputs[0] == outputs[1] == outputs[2]
         lines = [line.split() for line in outputs[0].splitlines()]
-        assert len(lines) == 18
+        assert len(lines) == 22
         # and every split of a game's masks gives the bits of one call
-        assert len({(name, sha) for name, _, sha in lines}) == 2
+        assert len({(name, sha) for name, _, sha in lines[:18]}) == 2
 
 
 class TestExactOracles:

@@ -10,7 +10,10 @@ from scipy.stats import binom, chi2
 
 import shapval.parallel
 from shapval import (
+    Game,
     GroupTestPlan,
+    ShapvalError,
+    UtilityRangeError,
     estimate_group_testing,
     exact_shapley_difference,
     exact_shapley_subsets,
@@ -24,14 +27,17 @@ from shapval import (
     run_tests,
 )
 from shapval.errors import ConfigError
+from shapval.games import _masks
 from shapval.group_testing import (
     _TEST_CHUNK,
     _baseline_budgets,
+    _draw_tests,
+    _test_chunk,
     _uniform_subsets,
     bennett_h,
 )
 from shapval.permutation import ORDERING_CHUNK
-from conftest import drawn_tests, has_negative_cycle, lp_max_violation
+from conftest import built_in_game, drawn_tests, has_negative_cycle, lp_max_violation
 
 
 def random_antisymmetric(g, n):
@@ -213,6 +219,26 @@ class TestRequiredTests:
         u = 1e-8
         assert bennett_h(u) == pytest.approx(u * u / 2.0, rel=1e-6)
 
+    def test_bennett_rate_function_is_accurate_at_small_u(self):
+        mpmath = pytest.importorskip("mpmath")
+        us = np.logspace(-4, -16, 121)
+        with mpmath.workdps(50):
+            for u, h in zip(us, bennett_h(us)):
+                exact = (1 + mpmath.mpf(u)) * mpmath.log1p(u) - u
+                assert abs(h - exact) <= 1e-9 * exact, u
+                assert bennett_h(u) == h  # a scalar as in an array
+
+    def test_tiny_accuracy_gives_a_finite_budget(self):
+        # u = 1e-16 here, where the closed form of h rounds to 0
+        mpmath = pytest.importorskip("mpmath")
+        plan = GroupTestPlan(10)
+        spread = 1.0 - plan.q_tot**2
+        u = 0.1 / (plan.z_norm * 1e14 * math.sqrt(10) * spread)
+        with mpmath.workdps(50):
+            h = (1 + mpmath.mpf(u)) * mpmath.log1p(u) - u
+            exact = 8 * mpmath.log(mpmath.mpf(10 * 9) / (2 * mpmath.mpf(0.1))) / (spread * h)
+            assert float(abs(required_tests(10, 0.1, 0.1, 1e14) / exact - 1)) < 1e-12
+
     def test_diverges_as_epsilon_shrinks(self):
         t = [required_tests(6, eps, 0.1, 1.0) for eps in (1.0, 0.1, 0.01)]
         assert t[0] < t[1] < t[2]
@@ -244,6 +270,45 @@ class TestRunTests:
             with pytest.raises(ValueError, match="t_tests"):
                 run_tests(g, count, seed=3)
         assert g.eval_count == 0
+
+    @pytest.mark.parametrize("family", ["additive", "voting", "symmetric", "glove", "random", "knn"])
+    def test_chunk_scores_its_draw_as_the_mask_route_does(self, family):
+        for n in (2, 3, 17, 40, 63):
+            game = built_in_game(family, n)
+            if game is None:
+                continue
+            plan = GroupTestPlan(n)
+            for count in (1, 3, 5, 4095, 4096):
+                member = _draw_tests(plan, 9, count, count)
+                before = game.eval_count
+                expected = member.T.astype(np.float64) @ game.values_of_masks(_masks(member))
+                billed = game.eval_count - before
+                got = _test_chunk(game, plan, 9, count, 0, count)
+                assert got.tobytes() == expected.tobytes(), (n, count)
+                assert game.eval_count - before == 2 * billed == 2 * count
+
+    @pytest.mark.parametrize("route", ["mask", "member"])
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (lambda rows: np.zeros(rows + 1), ShapvalError),
+            (lambda rows: np.zeros((rows, 1)), ShapvalError),
+            (lambda rows: np.full(rows, "x"), ShapvalError),
+            (lambda rows: np.full(rows, -0.5), UtilityRangeError),
+            (lambda rows: np.full(rows, np.nan), UtilityRangeError),
+        ],
+    )
+    def test_bad_utilities_are_refused_on_the_pooled_path(self, route, bad, error):
+        def good(masks):
+            return np.bitwise_count(masks) / 5.0
+
+        if route == "mask":  # right for the construction probes only
+            game = Game(5, lambda m: good(m) if m.size == 1 else bad(m.size), 1.0)
+        else:
+            game = Game(5, good, 1.0, _member_utility=lambda block: bad(block.shape[0]))
+        with pytest.raises(error):
+            run_tests(game, 10, seed=3)
+        assert game.eval_count == 0
 
     def test_memory_does_not_grow_with_the_test_count(self):
         # a chunk keeps only its 63 sums, so 18 more chunks add ~11 kB; keeping
