@@ -1,13 +1,13 @@
 """Compressive permutation sampling.
 
-Per-ordering marginal contributions are projected through a random
-sign matrix, so only M << N noisy linear measurements of the value
-vector are averaged.  The deviation of the values from their mean
-U(I)/N is then recovered by l1 minimization under an l2 residual
-constraint (basis pursuit denoising, solved exactly by walking the lasso
-path), exploiting that most players carry near-average value.  Recovery
-assumes the package's own +-1/sqrt(M) sign matrix, so the sampler draws
-it and returns it with the measurements.
+Each ordering's marginal vector is projected through a random (M, N) sign
+matrix, M << N, and averaged over orderings; the average is linear, so it
+is the projection of the permutation estimate of the same orderings.
+The deviation of the values from their mean U(I)/N is then recovered by
+l1 minimization under an l2 residual constraint (basis pursuit denoising,
+solved exactly by walking the lasso path), exploiting that most players
+carry near-average value.  Recovery assumes the package's own
++-1/sqrt(M) sign matrix, so the sampler draws it and returns it too.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import math
 
 import numpy as np
 
-from .errors import ShapvalError
+from .errors import SizeGuardError
 from .games import Game, ValueVector
-from .parallel import check_count, ordered_chunk_map
-from .permutation import ORDERING_CHUNK, _budget, _check_accuracy, marginal_chunk
+from .parallel import check_count, ordered_chunk_map  # noqa: F401, bench/spans.py wraps it
+from .permutation import _budget, _check_accuracy, _permutation_totals
 from .rng import stream
 
 __all__ = [
@@ -34,10 +34,13 @@ __all__ = [
 
 def sample_bernoulli_matrix(m_rows: int, n_players: int, seed: int) -> np.ndarray:
     """(M, N) i.i.d. signs, each +1/sqrt(M) or -1/sqrt(M) with equal
-    probability, so every column has unit l2 norm."""
+    probability, so every column has unit l2 norm.  A matrix of more than
+    2^24 cells raises ``SizeGuardError`` before the draw."""
     check_count("m_rows", m_rows)
     if n_players < 1:
         raise ValueError("need at least one player")
+    if int(m_rows) * n_players > 1 << 24:  # 128 MiB of float64
+        raise SizeGuardError(f"a sign matrix holds at most 2^24 cells, got {m_rows} x {n_players}")
     g = stream(seed, "bernoulli-matrix")
     signs = g.integers(0, 2, size=(m_rows, n_players)) * 2 - 1
     return signs / math.sqrt(m_rows)
@@ -49,25 +52,17 @@ def compressive_sample(
     """(a, y_bar): the (M, N) sign matrix for ``seed`` and the per-ordering
     marginals projected through it, averaged over orderings.
 
-    Orderings reuse the permutation sampler's prefix caching, so each
-    costs N utility evaluations.  For monotone games every single
-    measurement is certified to lie in [-r/sqrt(M), r/sqrt(M)].
+    That average is a @ s_perm, with s_perm the permutation estimate of the
+    same orderings (tag "compressive"), so each ordering costs N utility
+    evaluations.  A game declared monotone must give marginals of at least
+    -tol, or the kernel raises ``ShapvalError``; so every single measurement
+    |a.phi_t| <= ||phi_t||_1 / sqrt(M) = U(I) / sqrt(M) is within r / sqrt(M).
     """
     check_count("t_permutations", t_permutations)
     a = sample_bernoulli_matrix(m_rows, game.n_players, seed)
-    bound = game.range_r / math.sqrt(m_rows) + 1e-9 * max(1.0, game.range_r)
-
-    def chunk_sum(i: int, lo: int, hi: int) -> np.ndarray:
-        phi = marginal_chunk(game, seed, "compressive", i, hi - lo)
-        y = phi @ a.T
-        if game.monotone and float(np.abs(y).max()) > bound:
-            raise ShapvalError(
-                "measurement outside the guaranteed range for a monotone utility"
-            )
-        return y.sum(axis=0)
-
-    total = ordered_chunk_map(chunk_sum, range(0, t_permutations, ORDERING_CHUNK), threads)
-    return a, total / t_permutations
+    totals = _permutation_totals(game, t_permutations, seed, "compressive", threads)
+    # not BLAS: a threaded dgemv moves the last bits of rows with its thread count
+    return a, np.einsum("mn,n->m", a, totals / t_permutations)
 
 
 _TIE = 1e-12  # relative to lam: events this close coincide, and smaller rates are tangent

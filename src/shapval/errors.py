@@ -6,7 +6,7 @@ class ShapvalError(Exception):
 
 
 class SizeGuardError(ShapvalError):
-    """Exact computation refused because the player count exceeds the guard."""
+    """A computation refused before it starts because its size exceeds a guard."""
 
 
 class UtilityRangeError(ShapvalError):

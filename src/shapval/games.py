@@ -89,6 +89,9 @@ class Game:
     U(empty) = 0 always holds.  Values outside [0, range_r] raise
     UtilityRangeError rather than being clamped: clamping would silently
     invalidate the concentration bounds built on the declared range.
+    ``monotone`` declares that adding a player never lowers the utility:
+    permutation and compressive sampling raise ShapvalError on a marginal below
+    -1e-9 max(1, r), and compressive recovery flags a game not declared so.
 
     The mask form is the one required form.  ``prefix_utility`` is an
     optional second form of the same utility for the permutation

@@ -4,11 +4,11 @@ Each sampled ordering credits every player with its marginal
 contribution to the set of preceding players.  A chunk's orderings are
 scored prefix by prefix in one call to the game, so one ordering costs
 exactly N utility evaluations (the empty prefix is free).  The marginals
-come out in ordering order: ``marginal_chunk`` scatters them into a
-(T, N) block per player, which compressive sampling projects, while
-``estimate_permutation`` only needs each player's total and adds them
-with one weighted ``bincount``, the same additions in the same order as
-summing that block's columns.
+come out in ordering order, and a chunk adds each player's with one
+weighted ``bincount``.  ``_permutation_totals`` sums the chunks for both
+samplers: ``estimate_permutation`` averages the totals and compressive
+sampling projects that average.  A game declared monotone must give
+marginals of at least -tol, or the chunk raises ``ShapvalError``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ShapvalError
 from .games import Game, ValueVector
 from .parallel import check_count, ordered_chunk_map
 from .rng import stream
@@ -28,7 +29,6 @@ __all__ = [
     "PermutationBudget",
     "required_permutations",
     "estimate_permutation",
-    "marginal_chunk",
     "sample_orderings",
 ]
 
@@ -121,27 +121,22 @@ def _ordered_marginals(
     The orderings are ``sample_orderings(seed, tag, chunk_index, ...)``,
     so a chunk's rows depend only on its index, not on the thread or the
     order in which chunks run.  Column 0 is the first prefix's value and
-    the rest are ``np.diff(vals, axis=1)``, the same subtractions.
+    the rest are ``np.diff(vals, axis=1)``, the same subtractions.  A game
+    declared monotone raises ``ShapvalError`` on a marginal below -tol.
     """
     perms = sample_orderings(seed, tag, chunk_index, count, game.n_players)
     vals = game._values_of_orderings(perms)
     marginals = np.empty_like(vals, order="C")
     marginals[:, 0] = vals[:, 0]
     np.subtract(vals[:, 1:], vals[:, :-1], out=marginals[:, 1:])
+    if game.monotone and not marginals.min(initial=0.0) >= -game._range_tol:
+        raise ShapvalError(f"a game declared monotone gave a marginal of {marginals.min()}")
     return perms, marginals
 
 
-def marginal_chunk(game: Game, seed: int, tag: str, chunk_index: int, count: int) -> np.ndarray:
-    """(count, N) marginal contributions, per player, over one chunk of orderings."""
-    perms, marginals = _ordered_marginals(game, seed, tag, chunk_index, count)
-    phi = np.empty_like(marginals)
-    np.put_along_axis(phi, perms, marginals, axis=1)
-    return phi
-
-
 def _marginal_totals(game: Game, seed: int, tag: str, chunk_index: int, count: int) -> np.ndarray:
-    """Per-player sums of a chunk's marginals, bit-identical to
-    ``marginal_chunk(...).sum(axis=0)``.
+    """Per-player sums of a chunk's marginals, bit-identical to the
+    (count, N) per-player block summed over its orderings.
 
     Both add each player's marginals from +0.0 in ordering order.  With a
     single player numpy sums the contiguous (count, 1) block pairwise
@@ -153,18 +148,23 @@ def _marginal_totals(game: Game, seed: int, tag: str, chunk_index: int, count: i
     return np.bincount(perms.ravel(), weights=marginals.ravel(), minlength=game.n_players)
 
 
+def _permutation_totals(game: Game, t: int, seed: int, tag: str, threads: int | None) -> np.ndarray:
+    """Per-player sums of the marginals over ``t`` orderings drawn under
+    ``tag``, added chunk by chunk in chunk order."""
+    return ordered_chunk_map(
+        lambda i, lo, hi: _marginal_totals(game, seed, tag, i, hi - lo),
+        range(0, t, ORDERING_CHUNK),
+        threads,
+    )
+
+
 def estimate_permutation(
     game: Game, budget: PermutationBudget, seed: int, *, threads: int | None = None
 ) -> ValueVector:
     """Average marginal contributions over ``budget.t_permutations`` orderings."""
     t = budget.t_permutations
-    total = ordered_chunk_map(
-        lambda i, lo, hi: _marginal_totals(game, seed, "perm", i, hi - lo),
-        range(0, t, ORDERING_CHUNK),
-        threads,
-    )
     return ValueVector(
-        total / t,
+        _permutation_totals(game, t, seed, "perm", threads) / t,
         method="perm",
         eval_count=int(t) * game.n_players,
         seed=seed,

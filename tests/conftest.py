@@ -9,7 +9,10 @@ in its own stable argsort of the feature-order distances and with its
 own label compare.
 ``run_python`` runs a fresh interpreter on the package under test, and
 ``drawn_tests`` redraws a group-test run's coalitions through the
-estimator's own draw, so the tests examine the tests it ran.  ``chunks``
+estimator's own draw, so the tests examine the tests it ran, and
+``marginal_chunk`` scatters a chunk's marginals from the permutation
+kernel into a per-player block, so the tests examine each ordering's
+marginal vector.  ``chunks``
 lists the chunks ``ordered_chunk_map`` runs over ``range(0, total, size)``.
 ``built_in_game`` builds an N-player game of each built-in family.
 """
@@ -38,6 +41,7 @@ from shapval import (
 )
 from shapval.games import RANDOM_GAME_PLAYERS, _masks
 from shapval.group_testing import _TEST_CHUNK, _draw_tests
+from shapval.permutation import _ordered_marginals
 
 
 def run_python(*args):
@@ -63,6 +67,16 @@ def drawn_tests(game, plan, t_tests, seed):
         masks.append(chunk)
         utils.append(game.values_of_masks(chunk))
     return np.concatenate(masks), np.concatenate(utils)
+
+
+def marginal_chunk(game, seed, tag, chunk_index, count):
+    """(count, N) marginal contributions, per player, over one chunk of
+    orderings: the kernel's marginals, which come in ordering order,
+    scattered to the players that made them."""
+    perms, marginals = _ordered_marginals(game, seed, tag, chunk_index, count)
+    phi = np.empty_like(marginals)
+    np.put_along_axis(phi, perms, marginals, axis=1)
+    return phi
 
 
 def voting_half(weights):

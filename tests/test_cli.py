@@ -280,6 +280,18 @@ class TestMainExitCodes:
         assert main([*argv, "--with-oracle"]) == EXIT_SIZE_GUARD
         assert "oracle error metrics are limited to 20 players" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("budget", [["--permutations", "5"], ["--delta", "0.1"]])
+    def test_oversized_sign_matrix_is_a_size_guard_error(self, budget, monkeypatch, capsys):
+        from shapval import compressive
+
+        def never(*args):
+            raise AssertionError("the sign matrix was drawn")
+
+        monkeypatch.setattr(compressive, "stream", never)
+        argv = ["compressive", "--game", "symmetric", "--players", "8", "--epsilon", "0.1"]
+        assert main([*argv, "--measurements", "30000000", *budget]) == EXIT_SIZE_GUARD
+        assert "at most 2^24 cells, got 30000000 x 8" in one_line_error(capsys)
+
     def test_player_limit_is_a_one_line_error(self, capsys):
         code = main(["perm", "--game", "symmetric", "--players", "64", "--permutations", "5"])
         assert code == EXIT_FAILURE

@@ -20,10 +20,10 @@ from shapval import (
     sample_bernoulli_matrix,
     sigma_k,
 )
-from shapval import compressive
+from shapval import SizeGuardError, compressive
 from shapval.permutation import ORDERING_CHUNK
 from shapval.rng import stream
-from conftest import exhaustive_one_sparse, one_sparse_recovery_instances
+from conftest import chunks, exhaustive_one_sparse, marginal_chunk, one_sparse_recovery_instances
 
 
 def spiked_additive(n=16, spike=0.5, seed=0):
@@ -143,6 +143,21 @@ class TestMeasurementMatrix:
             with pytest.raises(ValueError, match="m_rows"):
                 required_t_compressive(1.0, 0.1, 0.05, rows)
 
+    def test_more_than_2_to_the_24_cells_are_refused_before_the_draw(self, monkeypatch):
+        # the stream is stubbed, so no matrix is drawn at either size
+        class Drawn(Exception):
+            pass
+
+        def stub(*args):
+            raise Drawn
+
+        monkeypatch.setattr(compressive, "stream", stub)
+        with pytest.raises(Drawn):
+            sample_bernoulli_matrix(1 << 21, 8, seed=0)  # exactly 2^24 cells
+        for rows, n in (((1 << 21) + 1, 8), (30_000_000, 8), (1 << 62, 63)):
+            with pytest.raises(SizeGuardError, match=r"at most 2\^24 cells"):
+                sample_bernoulli_matrix(rows, n, seed=0)
+
 
 class TestCompressiveSample:
     def test_additive_measurements_are_exact_and_seed_free(self):
@@ -177,6 +192,21 @@ class TestCompressiveSample:
         _, one = compressive_sample(g, 5, t, seed=6, threads=1)
         _, two = compressive_sample(g, 5, t, seed=6, threads=2)
         assert np.array_equal(one, two)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1, 255, 256, 257, 1000])
+    def test_measurements_are_the_mean_projected_marginal_vector(self, t, threads, monkeypatch):
+        # y_bar projects the permutation estimate once; the mean of the
+        # per-ordering projections a . phi_t adds in another order
+        monkeypatch.delenv("SHAPVAL_THREADS", raising=False)
+        for seed in (0, 1, 2):
+            game = make_random_game(12, 40 + seed)
+            a, y_bar = compressive_sample(game, 8, t, seed=seed, threads=threads)
+            phi = np.concatenate(
+                [marginal_chunk(game, seed, "compressive", i, hi - lo) for i, lo, hi in chunks(t, ORDERING_CHUNK)]
+            )
+            assert phi.shape == (t, 12)
+            assert np.max(np.abs(y_bar - (phi @ a.T).mean(axis=0))) <= 1e-15
 
     def test_range_check_trips_on_mislabeled_monotone_game(self):
         # swings of +-1 in the marginals exceed r/sqrt(M) whenever a row
@@ -268,7 +298,7 @@ class TestBpdn:
     def test_coinciding_join_and_leave(self):
         # the grouptest-additive63 benchmark game at workload seed 1 and
         # compressive seed 1000021: on its path a column joins and another
-        # leaves at values of lam 1.1e-15 apart, one breakpoint
+        # leaves at values of lam 1.2e-16 apart (lam ~ 0.0532), one breakpoint
         rng = np.random.default_rng([1, 63])
         w = np.ones(63)
         heavy = rng.choice(63, size=4, replace=False)

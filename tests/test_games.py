@@ -391,7 +391,7 @@ class TestBatchInvariance:
         # reports the count its gemv calls run on.
         code = """if 1:
             import ctypes, glob, hashlib, os, sys, numpy as np
-            from shapval import make_additive_game, make_voting_game, run_tests
+            from shapval import compressive_sample, estimate_compressive, make_additive_game, make_voting_game, run_tests
             from shapval.group_testing import _baseline_player_value
             libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "lib*openblas*"))
             blas = ctypes.CDLL(libs[0]) if libs else None
@@ -419,6 +419,19 @@ class TestBatchInvariance:
                 # three chunks of orderings and a 233-ordering tail
                 print(game.name, "tests", sha(run_tests(game, 5001, 25)))
                 print(game.name, "baseline", sha(_baseline_player_value(game, 3 * 256 + 233, 25, 1)))
+            for game in games:
+                # compressive measurements at M = 16, 300 and 20 000 (a threaded
+                # dgemv projection gives some rows other bits at 20 000 on 3
+                # threads), and their recovery at the first two, since the lasso
+                # path's own BLAS calls give other bits at M = 20 000.  The
+                # epsilons keep each path to 2-29 steps: at 3 BLAS threads on 2
+                # cores a step waits on the threads, and the additive game's
+                # whole 63-step path at M = 300 takes ~15 s
+                for rows in (16, 300, 20000):
+                    print(game.name, rows, "sample", sha(compressive_sample(game, rows, 3 * 256 + 233, 25)[1]))
+                for rows in (16, 300):
+                    epsilon = 2.0 if (game.name, rows) == ("additive", 300) else 0.05
+                    print(game.name, rows, "estimate", sha(estimate_compressive(game, rows, 600, epsilon, 25).values))
             """
         outputs = []
         for threads in ("1", "2", "3"):
@@ -432,7 +445,7 @@ class TestBatchInvariance:
             outputs.append(hashes)
         assert outputs[0] == outputs[1] == outputs[2]
         lines = [line.split() for line in outputs[0].splitlines()]
-        assert len(lines) == 22
+        assert len(lines) == 32
         # and every split of a game's masks gives the bits of one call
         assert len({(name, sha) for name, _, sha in lines[:18]}) == 2
 

@@ -19,9 +19,9 @@ from shapval import (
 
 import shapval.knn as knn_module
 from shapval.parallel import ordered_chunk_map
-from shapval.permutation import marginal_chunk, sample_orderings
+from shapval.permutation import sample_orderings
 
-from conftest import feature_order_distances, knn_loop_game, pascal_identity_lhs
+from conftest import feature_order_distances, knn_loop_game, marginal_chunk, pascal_identity_lhs
 
 
 def line_instance(labels, k, test_label="pos", distance="euclidean"):

@@ -12,6 +12,7 @@ from shapval import (
     Game,
     KnnInstance,
     PermutationBudget,
+    compressive_sample,
     estimate_compressive,
     estimate_group_testing,
     estimate_permutation,
@@ -27,11 +28,11 @@ from shapval import (
     make_random_game,
     required_permutations,
 )
-from shapval.errors import ConfigError
+from shapval.errors import ConfigError, ShapvalError
 from shapval.parallel import ordered_chunk_map, resolve_threads
-from shapval.permutation import ORDERING_CHUNK, marginal_chunk, sample_orderings
+from shapval.permutation import ORDERING_CHUNK, sample_orderings
 
-from conftest import chunks
+from conftest import built_in_game, chunks, marginal_chunk
 
 
 def sampled_marginals(game, t, seed):
@@ -303,6 +304,34 @@ class TestChunkTotals:
         game = make_additive_game(np.random.default_rng(63).uniform(0.0, 1.0, 63))
         full = marginal_chunk(game, 5, "perm", 2, ORDERING_CHUNK)
         assert marginal_chunk(game, 5, "perm", 2, r).tobytes() == full[:r].tobytes()
+
+
+class TestMonotoneCheck:
+    """A game declared monotone must give marginals of at least -tol; the
+    ordering kernel checks it for both samplers that run on it."""
+
+    def test_estimate_permutation_refuses_a_mislabeled_monotone_game(self):
+        # the twin of compressive's refusal, on the same game: adding player 1
+        # to {0} loses 1
+        table = {0: 0.0, 1: 1.0, 2: 0.0, 3: 0.0}
+        lying = Game(
+            2,
+            lambda m: np.array([table[int(x)] for x in m]),
+            range_r=1.0,
+            monotone=True,
+        )
+        with pytest.raises(ShapvalError, match="monotone"):
+            estimate_permutation(lying, PermutationBudget(50), seed=12)
+
+    @pytest.mark.parametrize("family", ["additive", "voting"])
+    def test_monotone_63_player_games_pass_both_samplers(self, family):
+        game = built_in_game(family, 63)  # real weights; the voting quota is half their total
+        assert game.monotone
+        t = 2 * ORDERING_CHUNK + 89
+        vv = estimate_permutation(game, PermutationBudget(t), seed=17)
+        a, y_bar = compressive_sample(game, 16, t, seed=17)
+        assert np.all(np.isfinite(vv.values)) and np.all(np.isfinite(y_bar))
+        assert game.eval_count == 2 * t * 63
 
 
 class TestEvalCounts:

@@ -76,17 +76,22 @@ def test_permutation_sampling(games):
     )
 
 
-def test_compressive_sampling(games):
+# Re-pinned when the measurements became the projection of the permutation
+# estimate of the same orderings, summed without BLAS, instead of the mean of
+# per-ordering projections: y_bar moved by at most 9.2e-15 on these games.
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_compressive_sampling(games, threads):
     additive = games[0]
-    assert digest(estimate_compressive(additive, 20, 600, 0.05, seed=5).values) == (
-        "4e76e3d13b2ec4b0aecdd91e1dad777d56ef5a0d66cb0bf99e905831b8679fa7"
+    assert digest(estimate_compressive(additive, 20, 600, 0.05, seed=5, threads=threads).values) == (
+        "f3958ad80f3136dd7c4120687951da20974de696f9000a933a3a2555cfddfb70"
     )
 
 
-def test_compressive_sampling_knn(games):
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_compressive_sampling_knn(games, threads):
     knn = games[1]
-    assert digest(estimate_compressive(knn, 20, 600, 0.05, seed=5).values) == (
-        "1e32cffdef0796e9df5cc4ab5ab05a7dc6ce181ce2a95f4df4eb974f6e7d72b3"
+    assert digest(estimate_compressive(knn, 20, 600, 0.05, seed=5, threads=threads).values) == (
+        "23ea7d147f15947124358079065cf6167be3301ef4e18249c074743a62ee6e2a"
     )
 
 
