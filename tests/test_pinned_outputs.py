@@ -3,7 +3,9 @@
 Permutation sampling (also on a tie-heavy KNN game, a 16-player random
 table and 1- and 2-player games), compressive sampling (also on a KNN
 game), group testing (both recovery routes and the test potentials;
-the drawn tests and potentials also at N = 2, 3, 17 and 40), the
+the drawn tests and potentials also at N = 2, 3, 17 and 40, and the
+potentials and both routes on a 63-player symmetric game and a
+16-player random table, which have no member form), the
 budgets both group-testing routes size, the baseline player's direct
 estimate, the utilities decoded from masks by
 ``games._membership`` (also across several row blocks), a full utility
@@ -33,6 +35,7 @@ from shapval import (
     estimate_permutation,
     make_additive_game,
     make_random_game,
+    make_symmetric_game,
     make_voting_game,
 )
 from shapval.cli import EXIT_OK, main
@@ -156,6 +159,34 @@ def test_group_testing(games, threads):
     assert digest(np.concatenate(vals)) == (
         "bd4dc812bce496387b54be3c89f2af446f4419b9a5c2a7c70ef36e815e27afd0"
     )
+
+
+@pytest.mark.parametrize(
+    "game, potentials_sha, routes_sha",
+    [
+        (
+            lambda: make_symmetric_game(63),
+            "ab7817499c38ea0ec81f0b813f99661689880de1e9bd73d550adfbab8a4e5de7",
+            "9c752f1f1fd36d9b56bee1a50e9ce538430a09ca9cf1b84233bfbed81863358e",
+        ),
+        (
+            lambda: make_random_game(16, 30),
+            "bdc5d0f0f0af0ffc7de8c6be04e71242e49a39168d42498092120b948d52e311",
+            "52757015943b3d7f153a7b5ab6e636441ebd2ac3d3680ec3f434ff917eb81437",
+        ),
+    ],
+    ids=["symmetric63", "random16"],
+)
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_group_testing_mask_form_games(game, potentials_sha, routes_sha, threads):
+    # games without a member form: the pooled tests are packed to masks
+    game = game()
+    assert digest(run_tests(game, 10_001, 31)) == potentials_sha
+    vals = [
+        estimate_group_testing(game, 5.0, 0.1, 32, recovery, t_tests=10_001, threads=threads).values
+        for recovery in ("feasibility", "baseline")
+    ]
+    assert digest(np.concatenate(vals)) == routes_sha
 
 
 @pytest.mark.parametrize(
