@@ -244,32 +244,40 @@ class Game:
         range(N); the samplers draw them, so they are not checked.  An empty
         block costs nothing, as an empty mask array does.  Without a
         prefix utility every prefix is scored as an int64 mask, as
-        :meth:`values_of_masks` scores it.  Either way R * N evaluations are
-        billed and the result is C-ordered: the marginals inherit this layout,
-        and summing an F-ordered block over its orderings adds pairwise instead
-        of in row order, which moves the last bits of the estimate.
+        :meth:`values_of_masks` scores it; no prefix is empty, since each
+        holds its row's first player.  The offset is subtracted only when it
+        is nonzero (x - 0.0 has the bits of x), and the utility's own array
+        is only read, so the result may be that array.  Either way R * N
+        evaluations are billed and the result is C-ordered: the marginals
+        inherit this layout, and summing an F-ordered block over its
+        orderings adds pairwise instead of in row order, which moves the
+        last bits of the estimate.
         """
         if perms.size == 0:
             return np.zeros(perms.shape, dtype=np.float64)
         if self._prefix_utility is None:
-            prefixes = np.cumsum(1 << perms, axis=1)
-            return self._values_of_sampled_masks(prefixes.reshape(-1)).reshape(prefixes.shape)
-        vals = self._real(self._prefix_utility(perms), perms.shape, "prefix")
-        vals = np.ascontiguousarray(vals) - self._offset
+            vals = self._evaluate(_prefix_masks(perms).reshape(-1)).reshape(perms.shape)
+        else:
+            vals = self._real(self._prefix_utility(perms), perms.shape, "prefix")
+        vals = np.ascontiguousarray(vals)
+        if self._offset:
+            vals = vals - self._offset
         self._check_and_bill(vals)
         return vals
 
-    def _values_of_members(self, block: np.ndarray) -> np.ndarray:
-        """Utilities of the rows of a float64 0/1 (rows, N) membership block.
+    def _values_of_members(self, member: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """Utilities of the rows of a 0/1 (rows, N) membership, given as the
+        boolean ``member`` a sampler drew and as ``block``, its float64 cast.
 
-        A sampler draws the block, each row with 1..N-1 members, so it is
-        not checked and no row is empty.  A game with a member form scores
-        the block as it is; any other packs it to int64 masks for its mask
-        form.  Either way the values get the checks, the offset and the
-        billing of :meth:`values_of_masks`.
+        Each row has 1..N-1 members, so the block is not checked and no row
+        is empty.  A game with a member form scores the float64 block as it
+        is; any other packs the boolean draw to int64 masks for its mask
+        form, which takes half the time of packing the cast.  Either way the
+        values get the checks, the offset and the billing of
+        :meth:`values_of_masks`.
         """
         if self._member_utility is None:
-            return self._values_of_sampled_masks(_masks(block))
+            return self._values_of_sampled_masks(_masks(member))
         vals = self._real(self._member_utility(block), block.shape[:1], "coalition")
         vals = vals - self._offset
         self._check_and_bill(vals)
@@ -339,8 +347,7 @@ def exact_shapley_permutations(
         if not block:
             break
         perms = np.asarray(block, dtype=np.int64)
-        prefixes = np.cumsum(1 << perms, axis=1)
-        vals = table[prefixes]
+        vals = table[_prefix_masks(perms)]
         marginals = np.concatenate([vals[:, :1], np.diff(vals, axis=1)], axis=1)
         np.add.at(totals, perms.ravel(), marginals.ravel())
     values = totals / math.factorial(n)
@@ -430,6 +437,13 @@ def _weight_sums(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
         out[:] = np.matmul(member, w)[: out.size]
 
     return _in_blocks(rows, _WEIGHT_ROWS, score)
+
+
+def _prefix_masks(perms: np.ndarray) -> np.ndarray:
+    """(R, N) int64 masks of the first 1..N players of each ordering in an
+    (R, N) block ``perms``, summed in place in one new array."""
+    masks = np.left_shift(1, perms, dtype=np.int64)
+    return np.cumsum(masks, axis=1, out=masks)
 
 
 def _masks(member: np.ndarray) -> np.ndarray:

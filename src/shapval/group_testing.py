@@ -12,8 +12,8 @@ a run builds its own plan from the game.  Tests are streamed: a run
 returns only the N potentials, and no coalition outlives its chunk.
 A chunk reads its sizes from a bucketed CDF and orders its rows by radix
 sort, with the values of ``Generator.choice`` and an int64 sort.  It casts
-the membership it draws to float64 once: the game scores that block,
-without building a mask where it has a member form, and the block's
+the membership it draws to float64 once: a game with a member form scores
+that block, any other packs the boolean draw to masks, and the block's
 transpose weights the utilities.
 """
 
@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .games import Game, ValueVector
+from .games import Game, ValueVector, _prefix_masks
 from .parallel import check_count, ordered_chunk_map, resolve_threads
 from .permutation import ORDERING_CHUNK, _budget, _check_accuracy, sample_orderings
 from .rng import stream
@@ -193,10 +193,12 @@ def _test_chunk(
     """Per-player sums sum_t u_t beta_ti over tests lo..hi-1.
 
     The drawn membership is cast to float64 once: the game scores that
-    block, and its transpose weights the utilities.
+    block or packs the draw (see ``Game._values_of_members``), and the
+    block's transpose weights the utilities.
     """
-    block = _draw_tests(plan, seed, chunk_index, hi - lo).astype(np.float64)
-    return block.T @ game._values_of_members(block)
+    member = _draw_tests(plan, seed, chunk_index, hi - lo)
+    block = member.astype(np.float64)
+    return block.T @ game._values_of_members(member, block)
 
 
 def run_tests(game: Game, t_tests: int, seed: int) -> np.ndarray:
@@ -322,7 +324,7 @@ def _baseline_player_value(
 
     def chunk_sum(i: int, lo: int, hi: int) -> np.ndarray:
         perms = sample_orderings(seed, "baseline-perm", i, hi - lo, n)
-        prefixes = np.cumsum(1 << perms, axis=1)
+        prefixes = _prefix_masks(perms)
         pos = np.argmax(perms == 0, axis=1)
         with_mask = prefixes[np.arange(hi - lo), pos]
         before_mask = with_mask - 1  # player 0 carries bit value 1

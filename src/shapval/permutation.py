@@ -2,13 +2,15 @@
 
 Each sampled ordering credits every player with its marginal
 contribution to the set of preceding players.  A chunk's orderings are
+one C-ordered intp block, shuffled in place from one stream, and are
 scored prefix by prefix in one call to the game, so one ordering costs
 exactly N utility evaluations (the empty prefix is free).  The marginals
-come out in ordering order, and a chunk adds each player's with one
-weighted ``bincount``.  ``_permutation_totals`` sums the chunks for both
-samplers: ``estimate_permutation`` averages the totals and compressive
-sampling projects that average.  A game declared monotone must give
-marginals of at least -tol, or the chunk raises ``ShapvalError``.
+come out in ordering order, from one subtract over the chunk's flat
+values, and a chunk adds each player's with one weighted ``bincount``.
+``_permutation_totals`` sums the chunks for both samplers:
+``estimate_permutation`` averages the totals and compressive sampling
+projects that average.  A game declared monotone must give marginals of
+at least -tol, or the chunk raises ``ShapvalError``.
 """
 
 from __future__ import annotations
@@ -103,12 +105,14 @@ class PermutationBudget:
 def sample_orderings(
     seed: int, tag: str, chunk_index: int, count: int, n_players: int
 ) -> np.ndarray:
-    """(count, N) block of uniform random orderings of the players.
+    """C-ordered (count, N) intp block of uniform random orderings of the
+    players.
 
     The whole block comes from one stream keyed on (seed, tag, chunk
-    index): each row of a tiled ``arange`` is shuffled independently.
+    index): each row of ``arange(N)`` is shuffled independently, in place.
     """
-    perms = np.tile(np.arange(n_players), (count, 1))
+    perms = np.empty((count, n_players), dtype=np.intp)
+    perms[...] = np.arange(n_players)
     return stream(seed, tag, chunk_index).permuted(perms, axis=1, out=perms)
 
 
@@ -121,17 +125,20 @@ def _ordered_marginals(
     The orderings are ``sample_orderings(seed, tag, chunk_index, ...)``,
     so a chunk's rows depend only on its index, not on the thread or the
     order in which chunks run.  Column 0 is the first prefix's value and
-    the rest are ``np.diff(vals, axis=1)``, the same subtractions.  A game
+    the rest are ``np.diff(vals, axis=1)``, the same subtractions: one
+    subtract runs over the flat C-ordered values, and column 0, where it
+    crossed from one row to the next, is then copied back.  A game
     declared monotone raises ``ShapvalError`` on a marginal below -tol.
     """
-    perms = sample_orderings(seed, tag, chunk_index, count, game.n_players)
-    vals = game._values_of_orderings(perms)
-    marginals = np.empty_like(vals, order="C")
-    marginals[:, 0] = vals[:, 0]
-    np.subtract(vals[:, 1:], vals[:, :-1], out=marginals[:, 1:])
+    n = game.n_players
+    perms = sample_orderings(seed, tag, chunk_index, count, n)
+    vals = game._values_of_orderings(perms).reshape(-1)
+    marginals = np.empty_like(vals)
+    np.subtract(vals[1:], vals[:-1], out=marginals[1:])
+    marginals[::n] = vals[::n]
     if game.monotone and not marginals.min(initial=0.0) >= -game._range_tol:
         raise ShapvalError(f"a game declared monotone gave a marginal of {marginals.min()}")
-    return perms, marginals
+    return perms, marginals.reshape(count, n)
 
 
 def _marginal_totals(game: Game, seed: int, tag: str, chunk_index: int, count: int) -> np.ndarray:

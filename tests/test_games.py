@@ -260,6 +260,61 @@ class TestPrefixUtility:
         assert g.eval_count == 0
 
 
+class TestMaskOrderings:
+    """Without a prefix form, the orderings' prefixes are scored as masks,
+    with the mask form's values, checks, offset and billing."""
+
+    @staticmethod
+    def game(n, offset=0.0, wrap=lambda vals: vals):
+        # worth (|S| + (S mod 7919) / 7919) / (N + 1), in [0, 1], plus an
+        # empty-coalition offset; its values have bits that the offset rounds
+        def utility(masks):
+            return wrap(offset + (sizes(masks) + (masks % 7919) / 7919) / (n + 1))
+
+        return Game(n, utility, range_r=1.0)
+
+    @staticmethod
+    def orderings(n, r):
+        g = np.random.default_rng(1000 * n + r)
+        return np.array([g.permutation(n) for _ in range(r)]).reshape(r, n)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.3])
+    @pytest.mark.parametrize("r", [1, 7, 256])
+    @pytest.mark.parametrize("n", [1, 2, 16, 63])
+    def test_same_values_as_the_masks_of_each_prefix(self, n, r, offset):
+        g, perms = self.game(n, offset), self.orderings(n, r)
+        expected = g.values_of_masks(np.cumsum(1 << perms, axis=1).ravel()).reshape(r, n)
+        before = g.eval_count
+        got = g._values_of_orderings(perms)
+        assert got.flags.c_contiguous and got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+        assert g.eval_count - before == r * n
+
+    @pytest.mark.parametrize("offset", [0.0, 0.3])
+    def test_a_read_only_utility_array_is_only_read(self, offset):
+        def frozen(vals):
+            vals.flags.writeable = False
+            return vals
+
+        g, perms = self.game(16, offset, frozen), self.orderings(16, 7)
+        expected = self.game(16, offset)._values_of_orderings(perms)
+        assert g._values_of_orderings(perms).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, 1.5, -0.25])
+    def test_nan_or_out_of_range_raises(self, value):
+        # right for the construction probes only
+        def utility(masks):
+            vals = sizes(masks) / 4
+            if masks.size > 1:
+                vals[5] = value
+            return vals
+
+        g = Game(4, utility, range_r=1.0)
+        with pytest.raises(UtilityRangeError):
+            g._values_of_orderings(TestPrefixUtility.perms)
+        assert g.eval_count == 0
+
+
 class TestMembership:
     @pytest.mark.parametrize("n", [1, 3, 40, 63])
     def test_matches_shift_and_mask(self, n):
@@ -383,7 +438,7 @@ class TestBatchInvariance:
             with monkeypatch.context() as patch:
                 patch.setattr(games, "_WEIGHT_ROWS", rows)
                 assert game.values_of_masks(masks).tobytes() == one_call.tobytes(), n
-                assert game._values_of_members(block).tobytes() == one_call[drawn].tobytes(), n
+                assert game._values_of_members(block != 0, block).tobytes() == one_call[drawn].tobytes(), n
 
     def test_blas_thread_count_changes_no_bits(self, monkeypatch):
         # OpenBLAS caps OPENBLAS_NUM_THREADS at the core count, but not a

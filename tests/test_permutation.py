@@ -30,7 +30,8 @@ from shapval import (
 )
 from shapval.errors import ConfigError, ShapvalError
 from shapval.parallel import ordered_chunk_map, resolve_threads
-from shapval.permutation import ORDERING_CHUNK, sample_orderings
+from shapval.rng import stream
+from shapval.permutation import ORDERING_CHUNK, _ordered_marginals, sample_orderings
 
 from conftest import built_in_game, chunks, marginal_chunk
 
@@ -410,3 +411,29 @@ class TestOrderingSampler:
         phi = sampled_marginals(g, t, seed=12)
         vv = estimate_permutation(g, PermutationBudget(t), seed=12)
         assert_allclose(phi.mean(axis=0), vv.values, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 256])
+    @pytest.mark.parametrize("n", [1, 2, 16, 63])
+    def test_block_is_a_shuffled_tile_of_the_players(self, n, count):
+        reference = np.tile(np.arange(n), (count, 1))
+        reference = stream(3, "perm", 4).permuted(reference, axis=1, out=reference)
+        perms = sample_orderings(3, "perm", 4, count, n)
+        assert perms.dtype == np.intp and perms.flags.c_contiguous
+        assert perms.shape == (count, n) and np.array_equal(perms, reference)
+
+
+class TestOrderedMarginals:
+    @pytest.mark.parametrize("count", [0, 1, 257])
+    @pytest.mark.parametrize("n", [1, 2, 63])
+    def test_same_as_the_column_wise_differences(self, n, count):
+        game = make_random_game(n, seed=n) if n <= 20 else make_additive_game(
+            np.random.default_rng(n).uniform(0.0, 1.0, n)
+        )
+        perms, marginals = _ordered_marginals(game, 9, "perm", 2, count)
+        vals = game._values_of_orderings(sample_orderings(9, "perm", 2, count, n))
+        expected = np.empty_like(vals)
+        expected[:, 0] = vals[:, 0]
+        np.subtract(vals[:, 1:], vals[:, :-1], out=expected[:, 1:])
+        assert np.array_equal(perms, sample_orderings(9, "perm", 2, count, n))
+        assert marginals.shape == (count, n) and marginals.flags.c_contiguous
+        assert marginals.tobytes() == expected.tobytes()
