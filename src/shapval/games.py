@@ -387,11 +387,14 @@ def exact_shapley_difference(
 
 
 # Rows per block of the member-weight sums.  A block's (rows, N) membership
-# is float64 in the product, 2 MB at N = 63; at large N the rows per block
+# is float64 in the product, 0.5 MB at N = 63; at large N the rows per block
 # must shrink to keep that bounded.  Any size gives the same bits
-# (see _weight_sums).  The size does not show in time: on one thread,
-# run_tests(2e4) at N = 63 took 7.4-7.6 ms at 512, 1024 and 4096 rows.
-_WEIGHT_ROWS = 4096
+# (see _weight_sums).  The size barely shows in time: on one thread,
+# run_tests(2e4) at N = 63 took 7.4-7.6 ms at 512, 1024 and 4096 rows, and
+# over 10 alternating 25 s benchmark pairs grouptest-additive63 (whose
+# compressive prefixes are scored as masks) read job_p50_ref 1.885 at 1024
+# rows against 1.891 at 4096, with peak RSS 50.5 MB against 52.2 MB.
+_WEIGHT_ROWS = 1024
 
 
 def _membership(masks: np.ndarray, n: int) -> np.ndarray:

@@ -425,7 +425,7 @@ class TestBatchInvariance:
         masks = batch_masks(largest.n_players, 8200)
         assert_any_split_gives_one_call(largest, masks, (63, 4095, 4097, 4099))
 
-    @pytest.mark.parametrize("rows", [1, 3, 5, 64, 4096])
+    @pytest.mark.parametrize("rows", [1, 3, 5, 64, 1024, 4096])
     @pytest.mark.parametrize("family", ["additive", "voting"])
     def test_any_weight_block_size_gives_the_same_bits(self, family, rows, monkeypatch):
         # in either form: as masks, and as the float64 membership block a
