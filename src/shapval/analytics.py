@@ -134,6 +134,25 @@ def fit_logistic(x: np.ndarray, y: np.ndarray, l2: float = 0.0) -> LogisticModel
     return LogisticModel(theta=theta, x=x, y=y, l2=l2)
 
 
+def _damped_hessian_solve(model: LogisticModel, rhs: np.ndarray, damping=None) -> np.ndarray:
+    """H^{-1} rhs, with H and its default damping as influence_removal_logistic states."""
+    x, theta = model.x, model.theta
+    d = x.shape[1]
+    s = _sigmoid(x @ theta)
+    hess = x.T @ (x * (s * (1.0 - s))[:, None])
+    if damping is None:
+        damping = model.l2 if model.l2 > 0 else 1e-6 * float(np.trace(hess)) / d
+    hess = hess + damping * np.eye(d)
+    try:
+        delta = np.linalg.solve(hess, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("singular influence Hessian; pass a positive damping value") from exc
+    residual = float(np.linalg.norm(hess @ delta - rhs))
+    if residual > 1e-10 * max(1.0, float(np.linalg.norm(rhs))):
+        raise ValueError("influence solve did not reach the required residual; increase damping")
+    return delta
+
+
 def influence_removal_logistic(
     model: LogisticModel, index: int, damping: float | None = None
 ) -> np.ndarray:
@@ -150,30 +169,11 @@ def influence_removal_logistic(
     Hessian can be requested with damping=0, at the caller's risk of
     singularity.
     """
-    x, y, theta = model.x, model.y, model.theta
-    n, d = x.shape
-    if not 0 <= index < n:
+    if not 0 <= index < model.x.shape[0]:
         raise ValueError("index out of range")
-    s = _sigmoid(x @ theta)
-    hess = x.T @ (x * (s * (1.0 - s))[:, None])
-    if damping is None:
-        damping = model.l2 if model.l2 > 0 else 1e-6 * float(np.trace(hess)) / d
-    hess = hess + damping * np.eye(d)
-    xi, yi = x[index], y[index]
-    grad = float(_sigmoid(np.array([-yi * (xi @ theta)]))[0]) * yi * xi
-    try:
-        delta = np.linalg.solve(hess, grad)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "singular influence Hessian; pass a positive damping value"
-        ) from exc
-    residual = float(np.linalg.norm(hess @ delta - grad))
-    if residual > 1e-10 * max(1.0, float(np.linalg.norm(grad))):
-        raise ValueError(
-            "influence solve did not reach the required residual; "
-            "increase damping"
-        )
-    return delta
+    xi, yi = model.x[index], model.y[index]
+    grad = float(_sigmoid(np.array([-yi * (xi @ model.theta)]))[0]) * yi * xi
+    return _damped_hessian_solve(model, grad, damping)
 
 
 # -- largest-coalition heuristic -------------------------------------------

@@ -258,7 +258,8 @@ def _looinfluence_values(config: ExperimentConfig) -> ValueVector:
 
     Utility convention: a coalition is worth the drop in mean test log
     loss relative to the untrained (zero-parameter) model, so the total
-    is ln 2 - test loss of the full model.
+    is ln 2 - test loss of the full model.  Point i's marginal
+    -grad_test' H^{-1} g_i is -g_i' s for the one solve s = H^{-1} grad_test.
     """
     from . import analytics
 
@@ -267,15 +268,10 @@ def _looinfluence_values(config: ExperimentConfig) -> ValueVector:
     xt, labels_t = load_labeled_csv(config.test)
     yt = signed_labels(labels_t)
     model = analytics.fit_logistic(x, y, l2=config.l2)
-    margins_t = yt * (xt @ model.theta)
-    misfit = 1.0 / (1.0 + np.exp(np.clip(margins_t, -500, 500)))
-    test_grad = -(xt.T @ (misfit * yt)) / xt.shape[0]
-    marginals = np.array(
-        [
-            -float(test_grad @ analytics.influence_removal_logistic(model, i))
-            for i in range(x.shape[0])
-        ]
-    )
+    misfit_t = analytics._sigmoid(-yt * (xt @ model.theta))
+    test_grad = -(xt.T @ (misfit_t * yt)) / xt.shape[0]
+    s_test = analytics._damped_hessian_solve(model, test_grad)
+    marginals = -(analytics._sigmoid(-y * (x @ model.theta)) * y) * (x @ s_test)
     u_total = math.log(2.0) - analytics.logistic_loss(model.theta, xt, yt)
     return analytics.largest_s_values(marginals, u_total)
 
@@ -354,8 +350,8 @@ def run_experiment(config: ExperimentConfig) -> ResultRecord:
     if config.method == "loo-influence":
         if config.with_oracle:
             raise ConfigError("--with-oracle is not supported for loo-influence")
-        vv = _looinfluence_values(config)
-    elif config.method == "knn":
+        return _record(start, config, _looinfluence_values(config), None)
+    if config.method == "knn":
         from . import knn
 
         instances = load_knn_instances(config)
@@ -366,30 +362,30 @@ def run_experiment(config: ExperimentConfig) -> ResultRecord:
         game = build_game(config)
         _check_oracle_guard(config, game.n_players)
         vv = _estimator_values(config, game)
+    oracle = exact_shapley_subsets(game).values if config.with_oracle else None
+    return _record(start, config, vv, oracle)
+
+
+def _record(start: float, config: ExperimentConfig, vv: ValueVector, oracle) -> ResultRecord:
+    """The run's record, timed from ``start``, with error metrics against ``oracle``."""
     l2_err = linf_err = None
-    if config.with_oracle:
-        oracle = exact_shapley_subsets(game)
-        diff = vv.values - oracle.values
+    if oracle is not None:
+        diff = vv.values - oracle
         l2_err = float(np.linalg.norm(diff))
         linf_err = float(np.max(np.abs(diff)))
-    wall = time.perf_counter() - start
     return ResultRecord(
-        values=vv.values.tolist(),
-        method=config.method,
-        n_players=len(vv),
-        seed=config.seed,
-        eval_count=vv.eval_count,
-        wall_time_s=wall,
-        epsilon=config.epsilon,
-        delta=config.delta,
-        flags=vv.flags,
-        l2_error=l2_err,
-        linf_error=linf_err,
+        values=vv.values.tolist(), method=config.method, n_players=len(vv), seed=config.seed,
+        eval_count=vv.eval_count, wall_time_s=time.perf_counter() - start,
+        epsilon=config.epsilon, delta=config.delta, flags=vv.flags,
+        l2_error=l2_err, linf_error=linf_err,
     )
 
 
 def sweep_budgets(config: ExperimentConfig, budget_list) -> list[ResultRecord]:
-    """One record per budget entry, for the method named in the sweep config."""
+    """One record per budget entry, for the method named in the sweep config.
+
+    The game and the oracle are built once; ``wall_time_s`` times each estimator run.
+    """
     method = config.sweep_method or config.method
     if method == "sweep":
         raise UnknownMethodError(f"sweep needs a concrete method, got {method!r}")
@@ -404,7 +400,13 @@ def sweep_budgets(config: ExperimentConfig, budget_list) -> list[ResultRecord]:
         else:
             raise ConfigError(f"method {method!r} takes no sampling budget")
         configs.append(replace(config, **override))
-    return [run_experiment(c) for c in configs]
+    if not configs:
+        return []
+    game = build_game(config)
+    _check_oracle_guard(config, game.n_players)
+    oracle = exact_shapley_subsets(game).values if config.with_oracle else None
+    # arguments are evaluated left to right, so each clock reading precedes its run
+    return [_record(time.perf_counter(), c, _estimator_values(c, game), oracle) for c in configs]
 
 
 # -- configuration plumbing -------------------------------------------------
@@ -517,9 +519,7 @@ def main(argv=None) -> int:
             if not config.budgets:
                 print("sweep: empty budget list, nothing to do", file=sys.stderr)
                 return EXIT_OK
-            for budget, record in zip(
-                config.budgets, sweep_budgets(config, config.budgets)
-            ):
+            for budget, record in zip(config.budgets, sweep_budgets(config, config.budgets)):
                 _emit(record, config, budget=budget)
         else:
             _emit(run_experiment(config), config)

@@ -1,11 +1,12 @@
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from shapval import cli
+from shapval import analytics, cli
 from shapval.cli import (
     EXIT_BAD_CONFIG,
     EXIT_FAILURE,
@@ -19,6 +20,7 @@ from shapval.cli import (
     run_experiment,
     sweep_budgets,
 )
+from shapval.datasets import load_labeled_csv, signed_labels
 from shapval.results import read_record, sibling_json_path, write_record
 from conftest import run_python
 
@@ -42,6 +44,12 @@ def logistic_files(tmp_path, n=12, seed=17):
     test = tmp_path / "lr_test.csv"
     test.write_text("1.0,1.0,1\n-1.0,-1.0,-1\n2.0,0.5,1\n")
     return train, test
+
+
+def logistic_arrays(train, test):
+    """Features and signed labels of the training and test files."""
+    (x, labels), (xt, labels_t) = load_labeled_csv(train), load_labeled_csv(test)
+    return x, signed_labels(labels), xt, signed_labels(labels_t)
 
 
 class TestRunExperiment:
@@ -90,6 +98,36 @@ class TestRunExperiment:
         record = run_experiment(config)
         assert record.n_players == 12
         assert np.isfinite(record.values_array()).all()
+        x, y, xt, yt = logistic_arrays(train, test)
+        model = analytics.fit_logistic(x, y, l2=0.5)
+        total = math.log(2.0) - analytics.logistic_loss(model.theta, xt, yt)
+        assert abs(sum(record.values) - total) <= 1e-12
+
+    @pytest.mark.parametrize("l2", [0.5, 1e-3])
+    def test_loo_influence_is_one_solve_of_the_per_point_formula(self, tmp_path, monkeypatch, l2):
+        train, test = logistic_files(tmp_path, n=40, seed=3)
+        solves, seen = [], []
+        solve, scale = analytics._damped_hessian_solve, analytics.largest_s_values
+
+        def counted_solve(*args):
+            solves.append(args)
+            return solve(*args)
+
+        def kept_marginals(marginals, u_total):
+            seen.append(marginals)
+            return scale(marginals, u_total)
+
+        monkeypatch.setattr(analytics, "_damped_hessian_solve", counted_solve)
+        monkeypatch.setattr(analytics, "largest_s_values", kept_marginals)
+        config = ExperimentConfig(method="loo-influence", train=str(train), test=str(test), l2=l2)
+        run_experiment(config)
+        assert len(solves) == 1
+        x, y, xt, yt = logistic_arrays(train, test)
+        model = analytics.fit_logistic(x, y, l2=l2)
+        misfit = np.exp(-np.logaddexp(0.0, yt * (xt @ model.theta)))  # sigma(-margin)
+        test_grad = -(xt.T @ (misfit * yt)) / len(yt)
+        expected = [-(test_grad @ analytics.influence_removal_logistic(model, i)) for i in range(40)]
+        assert_allclose(seen[0], expected, rtol=1e-12, atol=0)
 
     def test_compressive_via_config(self):
         config = ExperimentConfig(
@@ -153,6 +191,38 @@ class TestSweep:
             method="sweep", sweep_method="perm", game_kind="glove", seed=0
         )
         assert sweep_budgets(config, ()) == []
+
+    @pytest.mark.parametrize(
+        "method, extra, flag",
+        [
+            ("perm", [], "--permutations"),
+            ("compressive", ["--measurements", "4", "--epsilon", "0.01"], "--permutations"),
+            ("group-test", ["--epsilon", "0.5", "--delta", "0.2"], "--tests"),
+        ],
+    )
+    def test_builds_game_and_oracle_once_and_matches_single_runs(
+        self, tmp_path, monkeypatch, method, extra, flag
+    ):
+        game = ["--game", "random", "--players", "8", "--game-seed", "5", "--seed", "2"]
+        budgets = ("3", "256", "300")
+        calls = {"build_game": 0, "exact_shapley_subsets": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(cli, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        sweep_argv = ["sweep", "--method", method, *game, *extra, "--with-oracle"]
+        out = tmp_path / "sweep.csv"
+        assert main([*sweep_argv, "--budgets", ",".join(budgets), "--output", str(out)]) == EXIT_OK
+        assert calls == {"build_game": 1, "exact_shapley_subsets": 1}
+        for budget in budgets:
+            single = tmp_path / f"single_{budget}.csv"
+            argv = [method, *game, *extra, flag, budget, "--with-oracle", "--output", str(single)]
+            assert main(argv) == EXIT_OK
+            swept = tmp_path / f"sweep_b{budget}.csv"
+            assert swept.read_bytes() == single.read_bytes()
+            assert read_record(swept).l2_error == read_record(single).l2_error
 
     def test_median_error_decreases_with_budget(self):
         budgets = (8, 64, 512)
@@ -658,11 +728,11 @@ class TestRejectedInputs:
     def test_refused_budget_is_a_config_error(self, argv, monkeypatch, capsys):
         # a count of 2^63 or more, or a sized budget that is no finite count, exits 4 on
         # every sampling command; a sweep refuses before its first budget runs
-        def ran(config):
+        def ran(*args):
             raise AssertionError("a budget ran")
 
         if argv[0] == "sweep":
-            monkeypatch.setattr(cli, "run_experiment", ran)
+            monkeypatch.setattr(cli, "_estimator_values", ran)
         assert main([*argv, "--game", "glove"]) == EXIT_BAD_CONFIG
         err = one_line_error(capsys)
         assert "2^63" in err or "not a finite number" in err
